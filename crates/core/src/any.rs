@@ -3,9 +3,8 @@
 use mms_disk::DiskId;
 use mms_layout::ObjectId;
 use mms_sched::{
-    AdmissionError, CycleConfig, CyclePlan, FailureReport, ImprovedScheduler,
-    NonClusteredScheduler, PlanStability, SchemeKind, SchemeScheduler, StaggeredScheduler,
-    StreamId, StreamInfo, StreamingRaidScheduler,
+    AdmissionError, CycleConfig, CyclePlan, FailureReport, GroupedScheduler, ImprovedScheduler,
+    NonClusteredScheduler, PlanStability, SchemeKind, SchemeScheduler, StreamId, StreamInfo,
 };
 
 /// A scheduler for any of the four schemes, so [`crate::MultimediaServer`]
@@ -16,10 +15,8 @@ use mms_sched::{
 /// without downcasting.
 #[derive(Debug)]
 pub enum AnyScheduler {
-    /// Streaming RAID.
-    StreamingRaid(StreamingRaidScheduler),
-    /// Staggered-group.
-    Staggered(StaggeredScheduler),
+    /// Streaming RAID or Staggered-group (the scheme it was built as).
+    Grouped(GroupedScheduler),
     /// Non-clustered with buffer pool.
     NonClustered(NonClusteredScheduler),
     /// Improved-bandwidth.
@@ -29,8 +26,7 @@ pub enum AnyScheduler {
 macro_rules! delegate {
     ($self:ident, $s:ident => $body:expr) => {
         match $self {
-            AnyScheduler::StreamingRaid($s) => $body,
-            AnyScheduler::Staggered($s) => $body,
+            AnyScheduler::Grouped($s) => $body,
             AnyScheduler::NonClustered($s) => $body,
             AnyScheduler::Improved($s) => $body,
         }
@@ -64,52 +60,20 @@ impl AnyScheduler {
     #[must_use]
     pub fn rebuild_spec(&self, disk: DiskId) -> (Vec<DiskId>, u64) {
         use mms_layout::Layout;
-        fn cluster_sources(
-            geo: &mms_layout::Geometry,
-            disk: DiskId,
-            include_next: bool,
-        ) -> Vec<DiskId> {
-            let cluster = geo.cluster_of(disk);
-            let mut v: Vec<DiskId> = geo
-                .cluster_disks(cluster)
-                .into_iter()
-                .filter(|&d| d != disk)
-                .collect();
-            if include_next {
-                v.extend(geo.cluster_disks(geo.next_cluster(cluster)));
-            }
-            v
+        let (geo, tracks) = delegate!(self, s => (
+            *s.catalog().layout().geometry(),
+            s.catalog().blocks_on_disk(disk).len() as u64,
+        ));
+        let cluster = geo.cluster_of(disk);
+        let mut sources: Vec<DiskId> = geo
+            .cluster_disks(cluster)
+            .into_iter()
+            .filter(|&d| d != disk)
+            .collect();
+        if self.as_improved().is_some() {
+            sources.extend(geo.cluster_disks(geo.next_cluster(cluster)));
         }
-        match self {
-            AnyScheduler::StreamingRaid(s) => {
-                let geo = s.catalog().layout().geometry();
-                (
-                    cluster_sources(geo, disk, false),
-                    s.catalog().blocks_on_disk(disk).len() as u64,
-                )
-            }
-            AnyScheduler::Staggered(s) => {
-                let geo = s.catalog().layout().geometry();
-                (
-                    cluster_sources(geo, disk, false),
-                    s.catalog().blocks_on_disk(disk).len() as u64,
-                )
-            }
-            AnyScheduler::NonClustered(s) => {
-                let geo = s.catalog().layout().geometry();
-                (
-                    cluster_sources(geo, disk, false),
-                    s.catalog().blocks_on_disk(disk).len() as u64,
-                )
-            }
-            AnyScheduler::Improved(s) => {
-                let geo = s.catalog().layout().geometry();
-                (
-                    cluster_sources(geo, disk, true),
-                    s.catalog().blocks_on_disk(disk).len() as u64,
-                )
-            }
-        }
+        (sources, tracks)
     }
 }
 

@@ -9,8 +9,7 @@ use mms_layout::{
     ImprovedLayout, MediaObject, ObjectId,
 };
 use mms_sched::{
-    CycleConfig, ImprovedScheduler, NonClusteredScheduler, StaggeredScheduler,
-    StreamingRaidScheduler, TransitionPolicy,
+    CycleConfig, GroupedScheduler, ImprovedScheduler, NonClusteredScheduler, TransitionPolicy,
 };
 use mms_sim::{DataMode, ObjectDirectory, Simulator, StepMode};
 use std::fmt;
@@ -244,13 +243,20 @@ impl ServerBuilder {
                     catalog.add(o)?;
                 }
                 match self.scheme {
-                    Scheme::StreamingRaid => {
-                        let cfg = CycleConfig::new(self.disk_params, b0, self.c - 1, self.c - 1);
-                        AnyScheduler::StreamingRaid(StreamingRaidScheduler::new(cfg, catalog))
-                    }
-                    Scheme::StaggeredGroup => {
-                        let cfg = CycleConfig::new(self.disk_params, b0, self.c - 1, 1);
-                        AnyScheduler::Staggered(StaggeredScheduler::new(cfg, catalog))
+                    Scheme::StreamingRaid | Scheme::StaggeredGroup => {
+                        // SR transmits the whole group per cycle (k′ = C−1),
+                        // SG one track (k′ = 1).
+                        let k_prime = if self.scheme == Scheme::StreamingRaid {
+                            self.c - 1
+                        } else {
+                            1
+                        };
+                        let cfg = CycleConfig::new(self.disk_params, b0, self.c - 1, k_prime);
+                        AnyScheduler::Grouped(GroupedScheduler::with_scheme(
+                            self.scheme,
+                            cfg,
+                            catalog,
+                        ))
                     }
                     Scheme::NonClustered => {
                         let cfg = CycleConfig::new(self.disk_params, b0, 1, 1);
@@ -318,6 +324,30 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(s.scheme(), Scheme::ImprovedBandwidth);
+    }
+
+    #[test]
+    fn staggered_group_at_c2_keeps_its_label_and_charge() {
+        // At C = 2 both schemes read one data track plus parity and send
+        // it next cycle (k = k′ = 1); the built scheme still decides the
+        // label and when parity is freed: SG's 3 per stream, SR's 2C = 4.
+        for (scheme, peak) in [(Scheme::StaggeredGroup, 3), (Scheme::StreamingRaid, 4)] {
+            let mut server = ServerBuilder::new(scheme)
+                .disks(10)
+                .parity_group(2)
+                .movie("m", 1.0, BandwidthClass::Mpeg1)
+                .build()
+                .unwrap();
+            assert_eq!(server.scheme(), scheme);
+            let object = server.objects()[0];
+            server.admit(object).unwrap();
+            server.run(10).unwrap();
+            assert_eq!(
+                server.simulator().scheduler().buffer_high_water(),
+                peak,
+                "{scheme}"
+            );
+        }
     }
 
     #[test]

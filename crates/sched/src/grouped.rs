@@ -1,28 +1,49 @@
-//! The `k′` continuum between Streaming RAID and Staggered-group.
+//! The clustered scheduler of Section 2: Streaming RAID, Staggered-group
+//! and the `k′` continuum between them.
 //!
 //! Section 2 generalizes the cycle: "if `k` disk storage units are read in
 //! a cycle for a stream, where `k` is an integer multiple of `k′`, then
 //! the data read in one 'read cycle' is delivered in the next `k/k′`
-//! cycles" (Figure 2), and notes that the buffer-vs-bandwidth trade-offs
-//! of intermediate groupings are studied in the GSS work it cites [3].
-//! The paper then evaluates only the endpoints: `k′ = C−1` (Streaming
-//! RAID) and `k′ = 1` (Staggered-group).
+//! cycles" (Figure 2). Every clustered scheme reads a whole parity group
+//! — `C−1` data tracks plus parity, so a single failure is masked on the
+//! fly — once per read cycle (`k = C−1`) and differs only in `k′`:
 //!
-//! [`GroupedScheduler`] fills in the middle: one scheduler parameterized
-//! by `k′ | C−1`, reading a full parity group per read cycle (so failure
-//! masking is exactly SR/SG's) and transmitting `k′` tracks per cycle.
-//! Larger `k′` buys slot efficiency (fewer, longer cycles amortize the
-//! seek) at the price of buffer space; the `ablation_kprime` bench sweeps
-//! it.
+//! | Scheme | `k′` | read period `k/k′` |
+//! |---|---|---|
+//! | Streaming RAID (after Tobagi et al.) | `C−1` | 1 |
+//! | Staggered-group | `1` | `C−1` |
+//! | the GSS-style middle (the paper's reference \[3\]) | any `k′ \| C−1` | `(C−1)/k′` |
+//!
+//! [`GroupedScheduler`] is the one implementation of all three. Larger
+//! `k′` buys slot efficiency (fewer, longer cycles amortize the seek) at
+//! the price of buffer space; the `ablation_kprime` bench sweeps it.
 
 use crate::cycle::CycleConfig;
 use crate::plan::{CyclePlan, Delivery, LossReason, LostBlock, PlannedRead, ReadPurpose};
 use crate::streams::{StreamId, StreamInfo};
-use crate::traits::{AdmissionError, FailureReport, PlanStability, SchemeKind, SchemeScheduler};
+use crate::traits::{
+    data_tracks_on_disks, emit_mode_transition, AdmissionError, FailureReport, PlanStability,
+    RetireError, SchemeKind, SchemeScheduler,
+};
 use mms_buffer::{BufferPool, OwnerId};
 use mms_disk::DiskId;
-use mms_layout::{Catalog, ClusterId, ClusteredLayout, Layout, ObjectId};
+use mms_layout::{
+    BlockAddr, Catalog, CatalogError, ClusterId, ClusteredLayout, Layout, MediaObject, ObjectId,
+};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// What reading one parity group left for its transmission.
+#[derive(Debug, Clone, Default)]
+struct GroupState {
+    /// The block rebuilt from parity at read time (one failed disk in the
+    /// cluster, parity live), if any.
+    reconstructed: Option<u32>,
+    /// Blocks that could not be read or rebuilt: each is a hiccup.
+    hiccups: Vec<u32>,
+    /// Whether the group's parity track still occupies a buffer. A
+    /// reconstruction consumes it; a failed parity disk never fills it.
+    parity_held: bool,
+}
 
 /// Per-stream state.
 #[derive(Debug, Clone)]
@@ -32,22 +53,59 @@ struct GrStream {
     groups: u64,
     tracks: u64,
     start_cycle: u64,
-    class: (u32, u32),
+    /// Admission class, `phase · N_C + cluster trajectory`: streams with
+    /// equal class occupy the same disks every cycle, forever.
+    class: usize,
     delivered: u64,
     lost: u64,
-    reconstructed: Option<u32>,
-    hiccups: Vec<u32>,
-    parity_held: bool,
+    /// The group being transmitted.
+    sending: GroupState,
+    /// The group read this cycle. It becomes `sending` only after this
+    /// cycle's transmissions of the previous group are planned, so a
+    /// group is never labelled with the state of the group read after it.
+    reading: GroupState,
 }
 
-/// A grouped-sweeping-style scheduler: whole-group reads every `k/k′`
-/// cycles, `k′` tracks transmitted per cycle. `k′ = C−1` reproduces
-/// Streaming RAID's timing; `k′ = 1` reproduces Staggered-group's.
+impl GrStream {
+    /// The group this stream reads at `cycle`, if `cycle` is one of its
+    /// read cycles.
+    fn group_read_at(&self, cycle: u64, period: u64) -> Option<u64> {
+        let rel = cycle.checked_sub(self.start_cycle)?;
+        let g = rel / period;
+        (rel.is_multiple_of(period) && g < self.groups).then_some(g)
+    }
+}
+
+/// Data blocks in group `g` of a `tracks`-track object (the final group
+/// may be partial).
+fn blocks_in_group(tracks: u64, g: u64, per_group: u64) -> u32 {
+    (tracks - g * per_group).min(per_group) as u32
+}
+
+/// The clustered scheduler: whole-group reads every `k/k′` cycles, `k′`
+/// tracks transmitted per stream per cycle.
+///
+/// Streams are assigned staggered read phases, so under `k′ < C−1` their
+/// memory use is "out of phase" and the aggregate buffer demand is about
+/// half of Streaming RAID's (Figure 4).
+///
+/// **Parity-release rule.** The scheme the scheduler is built as decides
+/// when a group's parity buffer is returned. Streaming RAID holds it
+/// until the group has been transmitted, which is the paper's `2C` tracks
+/// per stream (Eq. 12). Every other `k′` frees it at the end of the read
+/// cycle, once the group is resident: Staggered-group's `C+1` per stream
+/// and `C(C+1)/2` for `C−1` phased streams (Figure 4).
 #[derive(Debug)]
 pub struct GroupedScheduler {
+    scheme: SchemeKind,
     config: CycleConfig,
     catalog: Catalog<ClusteredLayout>,
     streams: BTreeMap<StreamId, GrStream>,
+    /// Active streams per admission class (see [`GrStream::class`]). A
+    /// slot is held until the stream finishes, or is released before its
+    /// first read.
+    class_load: Vec<usize>,
+    /// Failed disk positions per cluster.
     failed: BTreeMap<ClusterId, BTreeSet<u32>>,
     buffers: BufferPool,
     next_stream: u64,
@@ -55,20 +113,45 @@ pub struct GroupedScheduler {
     /// Plan epoch: bumped by admit/release/failure/repair (see
     /// [`SchemeScheduler::plan_epoch`]).
     epoch: u64,
-    /// Reusable per-cycle id snapshot (plan_cycle_into must not allocate).
-    ids_scratch: Vec<StreamId>,
-    /// Recycled hiccup vectors: each read cycle swaps a stream's old
-    /// hiccup list for a pooled one instead of allocating.
-    hiccup_pool: Vec<Vec<u32>>,
 }
 
 impl GroupedScheduler {
-    /// Build a scheduler with the given `k′` (must divide `C−1`).
+    /// Build a scheduler for the scheme its timing names: `k′ = k` is
+    /// Streaming RAID, any smaller `k′` Staggered-group.
     ///
     /// # Panics
     /// Panics unless `config.k = C−1` and `config.k_prime` divides it.
     #[must_use]
     pub fn new(config: CycleConfig, catalog: Catalog<ClusteredLayout>) -> Self {
+        let scheme = if config.k_prime == config.k {
+            SchemeKind::StreamingRaid
+        } else {
+            SchemeKind::StaggeredGroup
+        };
+        Self::with_scheme(scheme, config, catalog)
+    }
+
+    /// Build a scheduler labelled, and charged, as `scheme`. At `C = 2`
+    /// the two schedules coincide (`k = k′ = 1`) and only the label and
+    /// the parity-release rule tell Streaming RAID from Staggered-group.
+    ///
+    /// # Panics
+    /// Panics unless `scheme` is Streaming RAID or Staggered-group,
+    /// `config.k = C−1`, `config.k_prime` divides it, and Streaming RAID
+    /// has `k′ = C−1`.
+    #[must_use]
+    pub fn with_scheme(
+        scheme: SchemeKind,
+        config: CycleConfig,
+        catalog: Catalog<ClusteredLayout>,
+    ) -> Self {
+        assert!(
+            matches!(
+                scheme,
+                SchemeKind::StreamingRaid | SchemeKind::StaggeredGroup
+            ),
+            "{scheme} is not a grouped scheme"
+        );
         let c = catalog.layout().geometry().group_size() as usize;
         assert_eq!(config.k, c - 1, "grouped scheduling reads whole groups");
         assert_eq!(
@@ -76,17 +159,21 @@ impl GroupedScheduler {
             0,
             "k' must divide C−1 so read cycles align with group boundaries"
         );
+        if scheme == SchemeKind::StreamingRaid {
+            assert_eq!(config.k_prime, c - 1, "Streaming RAID requires k' = C−1");
+        }
+        let classes = config.read_period() * catalog.layout().geometry().clusters() as usize;
         GroupedScheduler {
+            scheme,
             config,
             catalog,
             streams: BTreeMap::new(),
+            class_load: vec![0; classes],
             failed: BTreeMap::new(),
             buffers: BufferPool::unbounded(),
             next_stream: 0,
             next_cycle: 0,
             epoch: 0,
-            ids_scratch: Vec::new(),
-            hiccup_pool: Vec::new(),
         }
     }
 
@@ -96,32 +183,48 @@ impl GroupedScheduler {
         &self.catalog
     }
 
+    /// Register a newly staged object in the catalog (the tertiary →
+    /// disk load path of Figure 1).
+    pub fn register_object(&mut self, object: MediaObject) -> Result<(), CatalogError> {
+        self.catalog.add(object).map(|_| ())
+    }
+
+    /// Retire an object from the catalog (the purge path), refusing while
+    /// any stream is still delivering it.
+    pub fn retire_object(&mut self, object: ObjectId) -> Result<(), RetireError> {
+        let streams = self.streams.values().filter(|s| s.object == object).count();
+        if streams > 0 {
+            return Err(RetireError::InUse { object, streams });
+        }
+        self.catalog
+            .remove(object)
+            .map(|_| ())
+            .map_err(|_| RetireError::NotFound { object })
+    }
+
     fn period(&self) -> u64 {
         self.config.read_period() as u64
     }
 
-    fn blocks_in_group(&self, tracks: u64, g: u64) -> u32 {
-        let bpg = u64::from(self.catalog.layout().blocks_per_group());
-        (tracks - g * bpg).min(bpg) as u32
+    fn clusters(&self) -> u64 {
+        u64::from(self.catalog.layout().geometry().clusters())
     }
 
-    fn class_of(&self, h: u32, at_cycle: u64) -> (u32, u32) {
+    /// Admission class of a stream admitted at `at_cycle` whose object
+    /// starts on cluster `h`: its read-phase residue and the cluster it
+    /// would occupy at read cycle 0, projected onto absolute time.
+    fn class_of(&self, h: u32, at_cycle: u64) -> usize {
         let period = self.period();
-        let nc = u64::from(self.catalog.layout().geometry().clusters());
-        let r = (at_cycle % period) as u32;
-        let q = at_cycle / period;
-        (r, ((u64::from(h) + nc - (q % nc)) % nc) as u32)
+        let nc = self.clusters();
+        let phase = at_cycle % period;
+        let trajectory = (u64::from(h) + nc - (at_cycle / period) % nc) % nc;
+        (phase * nc + trajectory) as usize
     }
 }
 
 impl SchemeScheduler for GroupedScheduler {
     fn scheme(&self) -> SchemeKind {
-        // The endpoints are the named schemes; report by timing.
-        if self.config.k_prime == self.config.k {
-            SchemeKind::StreamingRaid
-        } else {
-            SchemeKind::StaggeredGroup
-        }
+        self.scheme
     }
 
     fn config(&self) -> &CycleConfig {
@@ -135,13 +238,7 @@ impl SchemeScheduler for GroupedScheduler {
             .get(object)
             .map_err(|_| AdmissionError::UnknownObject { object })?;
         let class = self.class_of(placed.start_cluster, at_cycle);
-        let period = self.period();
-        let load = self
-            .streams
-            .values()
-            .filter(|s| s.class == class && s.start_cycle + s.groups * period > at_cycle)
-            .count();
-        if load >= self.config.slots_per_disk() {
+        if self.class_load[class] >= self.config.slots_per_disk() {
             return Err(AdmissionError::AtCapacity {
                 active: self.streams.len(),
                 limit: self.stream_capacity(),
@@ -149,6 +246,7 @@ impl SchemeScheduler for GroupedScheduler {
         }
         let id = StreamId(self.next_stream);
         self.next_stream += 1;
+        self.class_load[class] += 1;
         self.epoch += 1;
         self.streams.insert(
             id,
@@ -161,18 +259,17 @@ impl SchemeScheduler for GroupedScheduler {
                 class,
                 delivered: 0,
                 lost: 0,
-                reconstructed: None,
-                hiccups: Vec::new(),
-                parity_held: false,
+                sending: GroupState::default(),
+                reading: GroupState::default(),
             },
         );
         Ok(id)
     }
 
     fn stream_capacity(&self) -> usize {
-        self.config.slots_per_disk()
-            * self.config.read_period()
-            * self.catalog.layout().geometry().clusters() as usize
+        // slots × read phases × N_C clusters — Eq. 8's shape at k′ = C−1,
+        // Eq. 9's at k′ = 1.
+        self.config.slots_per_disk() * self.class_load.len()
     }
 
     fn active_streams(&self) -> usize {
@@ -200,11 +297,13 @@ impl SchemeScheduler for GroupedScheduler {
         self.epoch += 1;
         // Group g is read at `start + g·period`, so the resident count
         // is the ceiling of the elapsed span over the period.
-        let elapsed = self.next_cycle.saturating_sub(st.start_cycle);
-        let read = elapsed.div_ceil(period);
+        let read = self
+            .next_cycle
+            .saturating_sub(st.start_cycle)
+            .div_ceil(period);
         if read == 0 {
-            // Nothing read yet: retire immediately. Admission counts
-            // live streams directly, so no class bookkeeping to undo.
+            // Nothing read yet: retire immediately, returning the slot.
+            self.class_load[st.class] -= 1;
             self.streams.remove(&id);
             self.buffers.free_all(OwnerId(id.0));
             return true;
@@ -221,54 +320,45 @@ impl SchemeScheduler for GroupedScheduler {
         plan.reset(cycle);
         let layout = *self.catalog.layout();
         let geometry = *layout.geometry();
+        let per_group = u64::from(layout.blocks_per_group());
+        let parity_pos = geometry.disks_per_cluster() - 1;
         let period = self.period();
         let k_prime = self.config.k_prime as u64;
+        let hold_parity = self.scheme == SchemeKind::StreamingRaid;
 
-        // Snapshot stream ids into the reusable scratch so the passes
-        // can mutate `self.streams` without holding a borrow on it.
-        let mut ids = std::mem::take(&mut self.ids_scratch);
-        ids.clear();
-        ids.extend(self.streams.keys().copied());
-
-        // Pass 1 — whole-group reads at each stream's read cycles.
-        for id in ids.iter().copied() {
-            // Copy the scalar fields instead of cloning the entry: the
-            // hiccups vector makes a full clone allocate under failures.
-            let (object, start_cluster, groups, tracks, start_cycle) = {
-                let s = &self.streams[&id];
-                (s.object, s.start_cluster, s.groups, s.tracks, s.start_cycle)
+        // Pass 1 — whole-group reads at each stream's read cycles. All of
+        // a cycle's reads are in flight while the previous data is still
+        // being transmitted, so allocations precede every free of the
+        // same cycle; the pool's high-water mark then measures the
+        // paper's start-of-cycle occupancy (2C per SR stream, Figure 4's
+        // profile for SG).
+        for (&id, st) in &mut self.streams {
+            let Some(g) = st.group_read_at(cycle, period) else {
+                continue;
             };
-            if cycle < start_cycle || !(cycle - start_cycle).is_multiple_of(period) {
-                continue;
-            }
-            let g = (cycle - start_cycle) / period;
-            if g >= groups {
-                continue;
-            }
-            let blocks = self.blocks_in_group(tracks, g);
-            let cluster = layout.data_cluster(start_cluster, g);
-            let failed = self.failed.get(&cluster);
-            let parity_pos = geometry.disks_per_cluster() - 1;
+            let blocks = blocks_in_group(st.tracks, g, per_group);
+            let failed = self.failed.get(&layout.data_cluster(st.start_cluster, g));
             let parity_ok = failed.is_none_or(|f| !f.contains(&parity_pos));
-            let mut reconstructed = None;
-            let mut hiccups = self.hiccup_pool.pop().unwrap_or_default();
-            hiccups.clear();
+            // One failed disk and live parity: rebuild on the fly.
+            let masked = parity_ok && failed.is_some_and(|f| f.len() == 1);
+            let next = &mut st.reading;
+            next.reconstructed = None;
+            next.hiccups.clear();
             let mut reads = 0usize;
             for i in 0..blocks {
-                let p = layout.data_placement(start_cluster, g, i);
-                let pos = geometry.position_in_cluster(p.disk);
-                if failed.is_some_and(|f| f.contains(&pos)) {
-                    if failed.map_or(0, std::collections::BTreeSet::len) == 1 && parity_ok {
-                        reconstructed = Some(i);
+                let p = layout.data_placement(st.start_cluster, g, i);
+                if failed.is_some_and(|f| f.contains(&geometry.position_in_cluster(p.disk))) {
+                    if masked {
+                        next.reconstructed = Some(i);
                     } else {
-                        hiccups.push(i);
+                        next.hiccups.push(i);
                     }
                 } else {
                     plan.push_read(
                         p.disk,
                         PlannedRead {
                             stream: id,
-                            addr: mms_layout::BlockAddr::data(object, g, i),
+                            addr: BlockAddr::data(st.object, g, i),
                             purpose: ReadPurpose::Delivery,
                         },
                     );
@@ -276,129 +366,126 @@ impl SchemeScheduler for GroupedScheduler {
                 }
             }
             if parity_ok {
-                let pp = layout.parity_placement(start_cluster, g);
                 plan.push_read(
-                    pp.disk,
+                    layout.parity_placement(st.start_cluster, g).disk,
                     PlannedRead {
                         stream: id,
-                        addr: mms_layout::BlockAddr::parity(object, g),
+                        addr: BlockAddr::parity(st.object, g),
                         purpose: ReadPurpose::Parity,
                     },
                 );
                 reads += 1;
             }
+            // A reconstructed block materializes in the parity buffer, so
+            // the group occupies `reads` tracks either way.
+            next.parity_held = parity_ok && next.reconstructed.is_none();
             self.buffers
                 .alloc(OwnerId(id.0), reads)
                 .expect("unbounded pool never refuses an allocation");
-            let st = self
-                .streams
-                .get_mut(&id)
-                .expect("stream id snapshot only holds live streams");
-            st.parity_held = parity_ok && reconstructed.is_none();
-            st.reconstructed = reconstructed;
-            let retired = std::mem::replace(&mut st.hiccups, hiccups);
-            self.hiccup_pool.push(retired);
         }
 
-        // Pass 2 — deliver k' tracks per cycle, offset one cycle after
-        // the read cycle, and free per delivery.
-        for id in ids.iter().copied() {
-            // Scalar copies again: the mutable re-borrow in the loop body
-            // must not overlap a borrow of the stream entry.
-            let Some((object, groups, tracks, start_cycle)) = self
-                .streams
-                .get(&id)
-                .map(|s| (s.object, s.groups, s.tracks, s.start_cycle))
-            else {
-                continue;
-            };
-            if cycle < start_cycle + 1 {
-                continue;
-            }
-            let rel = cycle - start_cycle - 1;
-            let g = rel / period;
-            if g >= groups {
-                continue;
-            }
-            let blocks = self.blocks_in_group(tracks, g);
-            let first = (rel % period) * k_prime;
-            for i in first..(first + k_prime).min(u64::from(blocks)) {
-                let i = i as u32;
-                let addr = mms_layout::BlockAddr::data(object, g, i);
-                let st = self
-                    .streams
-                    .get_mut(&id)
-                    .expect("pass 2 checks the stream is still live above");
-                if st.hiccups.contains(&i) {
-                    plan.hiccups.push(LostBlock {
-                        stream: id,
-                        addr,
-                        reason: LossReason::FailedDisk,
-                        delivery_cycle: cycle,
-                    });
-                    st.lost += 1;
-                } else {
-                    plan.deliveries.push(Delivery {
-                        stream: id,
-                        addr,
-                        reconstructed: st.reconstructed == Some(i),
-                    });
-                    st.delivered += 1;
-                    self.buffers
-                        .free(OwnerId(id.0), 1)
-                        .expect("every delivered block was allocated at its read cycle");
-                }
-                if g + 1 == st.groups && u64::from(i) + 1 >= u64::from(blocks) {
-                    plan.finished.push(id);
-                    self.streams.remove(&id);
-                    self.buffers.free_all(OwnerId(id.0));
-                    break;
+        // Pass 2 — transmit k′ tracks of the group being sent, one cycle
+        // after its read cycle; then commit the group read this cycle.
+        // Each stream returns its buffers in one free.
+        for (&id, st) in &mut self.streams {
+            let mut freed = 0usize;
+            if let Some(rel) = cycle.checked_sub(st.start_cycle + 1) {
+                let g = rel / period;
+                if g < st.groups {
+                    let blocks = u64::from(blocks_in_group(st.tracks, g, per_group));
+                    let first = (rel % period) * k_prime;
+                    let end = (first + k_prime).min(blocks);
+                    for i in first..end {
+                        let i = i as u32;
+                        let addr = BlockAddr::data(st.object, g, i);
+                        if st.sending.hiccups.contains(&i) {
+                            plan.hiccups.push(LostBlock {
+                                stream: id,
+                                addr,
+                                reason: LossReason::FailedDisk,
+                                delivery_cycle: cycle,
+                            });
+                            st.lost += 1;
+                        } else {
+                            plan.deliveries.push(Delivery {
+                                stream: id,
+                                addr,
+                                reconstructed: st.sending.reconstructed == Some(i),
+                            });
+                            st.delivered += 1;
+                            freed += 1;
+                        }
+                    }
+                    if g + 1 == st.groups && first < end && end == blocks {
+                        // Final block sent: the stream's buffers and slot
+                        // are returned below.
+                        plan.finished.push(id);
+                        continue;
+                    }
+                    if hold_parity && st.sending.parity_held {
+                        // Streaming RAID (period 1) has now sent the whole
+                        // group, so its parity goes with it.
+                        st.sending.parity_held = false;
+                        freed += 1;
+                    }
                 }
             }
+            if st.group_read_at(cycle, period).is_some() {
+                std::mem::swap(&mut st.sending, &mut st.reading);
+                if !hold_parity && st.sending.parity_held {
+                    // Resident now: the parity is no longer needed.
+                    st.sending.parity_held = false;
+                    freed += 1;
+                }
+            }
+            self.buffers
+                .free(OwnerId(id.0), freed)
+                .expect("every freed track was charged at its group's read");
+        }
+        for id in &plan.finished {
+            let st = self.streams.remove(id).expect("finished streams are live");
+            self.class_load[st.class] -= 1;
+            self.buffers.free_all(OwnerId(id.0));
         }
 
-        // End of cycle: release parity for groups fully read this cycle
-        // (once resident, the group no longer needs it). Refill the
-        // snapshot: pass 2 may have retired streams.
-        ids.clear();
-        ids.extend(self.streams.keys().copied());
-        for id in ids.iter().copied() {
-            let s = self
-                .streams
-                .get(&id)
-                .expect("stream id snapshot only holds live streams");
-            if cycle >= s.start_cycle
-                && (cycle - s.start_cycle).is_multiple_of(period)
-                && s.parity_held
-            {
-                let st = self
-                    .streams
-                    .get_mut(&id)
-                    .expect("stream id snapshot only holds live streams");
-                st.parity_held = false;
-                self.buffers
-                    .free(OwnerId(id.0), 1)
-                    .expect("parity_held implies a parity buffer is allocated");
-            }
-        }
-        self.ids_scratch = ids;
+        // Sanity: no disk over capacity. Admission control guarantees it.
+        let cap = self.config.slots_per_disk();
+        debug_assert!(
+            plan.reads.values().all(|v| v.len() <= cap),
+            "slot overflow in {} plan",
+            self.scheme
+        );
     }
 
-    fn on_disk_failure(&mut self, disk: DiskId, _cycle: u64, _mid_cycle: bool) -> FailureReport {
+    fn on_disk_failure(&mut self, disk: DiskId, cycle: u64, _mid_cycle: bool) -> FailureReport {
         let geometry = *self.catalog.layout().geometry();
         let cluster = geometry.cluster_of(disk);
         let pos = geometry.position_in_cluster(disk);
         self.epoch += 1;
         let entry = self.failed.entry(cluster).or_default();
         entry.insert(pos);
+        let catastrophic = entry.len() >= 2;
+        let data_loss_tracks = if catastrophic {
+            let failed = entry.iter().map(|&p| geometry.disk_at(cluster, p));
+            data_tracks_on_disks(&self.catalog, failed)
+        } else {
+            0
+        };
+        let (from, to) = if catastrophic {
+            ("degraded", "catastrophic")
+        } else {
+            ("normal", "degraded")
+        };
+        emit_mode_transition(self.scheme, cluster, cycle, from, to);
         FailureReport {
             degraded_clusters: vec![cluster],
-            catastrophic: entry.len() >= 2,
+            catastrophic,
+            data_loss_tracks,
             ..FailureReport::default()
         }
     }
 
-    fn on_disk_repair(&mut self, disk: DiskId, _cycle: u64) {
+    fn on_disk_repair(&mut self, disk: DiskId, cycle: u64) {
         let geometry = *self.catalog.layout().geometry();
         let cluster = geometry.cluster_of(disk);
         let pos = geometry.position_in_cluster(disk);
@@ -407,6 +494,7 @@ impl SchemeScheduler for GroupedScheduler {
             set.remove(&pos);
             if set.is_empty() {
                 self.failed.remove(&cluster);
+                emit_mode_transition(self.scheme, cluster, cycle, "degraded", "normal");
             }
         }
     }
@@ -422,8 +510,7 @@ impl SchemeScheduler for GroupedScheduler {
     fn plan_stability(&self, cycle: u64) -> PlanStability {
         // Whole-group reads recur every `read_period` cycles over a
         // rotation of N_C clusters.
-        let nc = u64::from(self.catalog.layout().geometry().clusters());
-        let period = self.period() * nc;
+        let period = self.period() * self.clusters();
         if !self.failed.is_empty() {
             return PlanStability { period, stable: 0 };
         }
@@ -442,12 +529,14 @@ impl SchemeScheduler for GroupedScheduler {
 
     fn fast_forward(&mut self, cycles: u64) {
         debug_assert!(self.failed.is_empty(), "fast_forward in degraded mode");
-        let nc = u64::from(self.catalog.layout().geometry().clusters());
-        debug_assert_eq!(cycles % (self.period() * nc), 0, "not a whole rotation");
+        debug_assert_eq!(
+            cycles % (self.period() * self.clusters()),
+            0,
+            "not a whole rotation"
+        );
         self.next_cycle += cycles;
-        // k' tracks delivered per stream per steady cycle; parity is
-        // released at the end of each read cycle, so the pending fields
-        // are quiescent.
+        // k′ tracks delivered per stream per steady cycle; the group
+        // states and the buffer charge are periodic, hence unchanged.
         let k_prime = self.config.k_prime as u64;
         for s in self.streams.values_mut() {
             s.delivered += cycles * k_prime;
@@ -463,40 +552,330 @@ impl SchemeScheduler for GroupedScheduler {
 mod tests {
     use super::*;
     use mms_disk::{Bandwidth, DiskParams};
-    use mms_layout::{BandwidthClass, Geometry, MediaObject};
+    use mms_layout::{BandwidthClass, Geometry};
 
-    /// C = 9 gives k' ∈ {1, 2, 4, 8}: a real sweep range.
-    fn make(k_prime: usize) -> GroupedScheduler {
-        let geo = Geometry::clustered(9, 9).unwrap();
+    const SR: SchemeKind = SchemeKind::StreamingRaid;
+    const SG: SchemeKind = SchemeKind::StaggeredGroup;
+
+    /// `disks` in clusters of `c`, objects `(id, tracks)`, built as the
+    /// named scheme with its paper timing (SR: `k′ = C−1`, SG: `k′ = 1`).
+    fn make(
+        scheme: SchemeKind,
+        disks: usize,
+        c: usize,
+        objects: &[(u64, u64)],
+    ) -> GroupedScheduler {
+        let k_prime = if scheme == SR { c - 1 } else { 1 };
+        GroupedScheduler::with_scheme(scheme, config(c, k_prime), catalog(disks, c, objects))
+    }
+
+    fn catalog(disks: usize, c: usize, objects: &[(u64, u64)]) -> Catalog<ClusteredLayout> {
+        let geo = Geometry::clustered(disks, c).unwrap();
         let mut catalog = Catalog::new(ClusteredLayout::new(geo), 100_000);
+        for &(id, tracks) in objects {
+            catalog
+                .add(MediaObject::new(
+                    ObjectId(id),
+                    format!("o{id}"),
+                    tracks,
+                    BandwidthClass::Mpeg1,
+                ))
+                .unwrap();
+        }
         catalog
-            .add(MediaObject::new(
-                ObjectId(0),
-                "m",
-                240,
-                BandwidthClass::Mpeg1,
-            ))
-            .unwrap();
-        let cfg = CycleConfig::new(
+    }
+
+    fn config(c: usize, k_prime: usize) -> CycleConfig {
+        CycleConfig::new(
             DiskParams::paper_table1(),
             Bandwidth::from_megabits(1.5),
-            8,
+            c - 1,
             k_prime,
-        );
-        GroupedScheduler::new(cfg, catalog)
+        )
+    }
+
+    /// C = 9 gives k' ∈ {1, 2, 4, 8}: a real sweep range.
+    fn make_c9(k_prime: usize) -> GroupedScheduler {
+        GroupedScheduler::new(config(9, k_prime), catalog(9, 9, &[(0, 240)]))
     }
 
     #[test]
     fn endpoints_match_named_schemes() {
-        assert_eq!(make(8).scheme(), SchemeKind::StreamingRaid);
-        assert_eq!(make(1).scheme(), SchemeKind::StaggeredGroup);
-        assert_eq!(make(4).scheme(), SchemeKind::StaggeredGroup);
+        assert_eq!(make_c9(8).scheme(), SR);
+        assert_eq!(make_c9(1).scheme(), SG);
+        assert_eq!(make_c9(4).scheme(), SG);
+        // At C = 2 the timing is shared; the constructor's label wins.
+        assert_eq!(make(SG, 10, 2, &[(0, 8)]).scheme(), SG);
+        assert_eq!(make(SR, 10, 2, &[(0, 8)]).scheme(), SR);
+    }
+
+    #[test]
+    #[should_panic(expected = "Streaming RAID requires k' = C−1")]
+    fn streaming_raid_requires_full_group_transmission() {
+        let _ = GroupedScheduler::with_scheme(SR, config(5, 1), catalog(10, 5, &[(0, 8)]));
+    }
+
+    #[test]
+    fn sr_reads_whole_groups_and_delivers_next_cycle() {
+        let mut s = make(SR, 10, 5, &[(0, 8)]); // 2 full groups
+        let id = s.admit(ObjectId(0), 0).unwrap();
+        let p0 = s.plan_cycle(0);
+        // Group 0: 4 data reads on disks 0..3 + parity on disk 4.
+        assert_eq!(p0.total_reads(), 5);
+        assert!(p0.deliveries.is_empty());
+        assert_eq!(p0.reads_on(DiskId(4)).len(), 1);
+        assert_eq!(p0.reads_on(DiskId(4))[0].purpose, ReadPurpose::Parity);
+        let p1 = s.plan_cycle(1);
+        // Group 1 read on cluster 1; group 0 delivered.
+        assert_eq!(p1.total_reads(), 5);
+        assert!(p1.reads.keys().all(|d| d.0 >= 5));
+        assert_eq!(p1.deliveries.len(), 4);
+        assert!(p1
+            .deliveries
+            .iter()
+            .all(|d| d.stream == id && !d.reconstructed));
+        let p2 = s.plan_cycle(2);
+        // Nothing left to read; group 1 delivered; stream finishes.
+        assert_eq!(p2.total_reads(), 0);
+        assert_eq!(p2.deliveries.len(), 4);
+        assert_eq!(p2.finished, vec![id]);
+        assert_eq!(s.active_streams(), 0);
+    }
+
+    #[test]
+    fn sg_reads_every_period_delivers_one_track_per_cycle() {
+        let mut s = make(SG, 10, 5, &[(0, 8)]);
+        let id = s.admit(ObjectId(0), 0).unwrap();
+        let p0 = s.plan_cycle(0);
+        assert_eq!(p0.total_reads(), 5); // group 0 + parity
+        assert!(p0.deliveries.is_empty());
+        for t in 1..4 {
+            let p = s.plan_cycle(t);
+            // Group 1 is read at t = 4, not before.
+            assert_eq!(p.total_reads(), 0, "t={t}");
+            assert_eq!(p.deliveries.len(), 1, "t={t}");
+        }
+        let p4 = s.plan_cycle(4);
+        assert_eq!(p4.total_reads(), 5); // group 1 read
+        assert_eq!(p4.deliveries.len(), 1); // last track of group 0
+        for t in 5..8 {
+            let p = s.plan_cycle(t);
+            assert_eq!(p.deliveries.len(), 1);
+            assert!(p.finished.is_empty());
+        }
+        let p8 = s.plan_cycle(8);
+        assert_eq!(p8.deliveries.len(), 1);
+        assert_eq!(p8.finished, vec![id]);
+    }
+
+    #[test]
+    fn buffer_peaks_match_the_paper() {
+        // (scheme, streams at phases 0.., cycles, peak): SR's 2C = 10 per
+        // stream (Eq. 12) and 40 for four streams (Figure 4); SG's C + 1
+        // = 6 for one stream and C(C+1)/2 = 15 for C−1 phased streams —
+        // the reading stream holds 6 while the others hold 4, 3, 2.
+        let cases = [
+            (SR, 1u64, 6u64, 10usize),
+            (SR, 4, 10, 40),
+            (SG, 1, 40, 6),
+            (SG, 4, 40, 15),
+        ];
+        for (scheme, streams, cycles, peak) in cases {
+            let mut s = make(scheme, 10, 5, &[(0, 400)]);
+            for phase in 0..streams {
+                let at = if scheme == SR { 0 } else { phase };
+                s.admit(ObjectId(0), at).unwrap();
+            }
+            for t in 0..cycles {
+                s.plan_cycle(t);
+            }
+            assert_eq!(s.buffer_high_water(), peak, "{scheme} × {streams}");
+        }
+    }
+
+    #[test]
+    fn sg_buffer_profile_matches_figure4_single_stream() {
+        // One stream, C = 5: the first group peaks at C = 5 (no leftover
+        // of a previous group); parity is released at the end of the read
+        // cycle, then one track drains per cycle: 4, 3, 2, 1. From the
+        // second read cycle on, the peak is C + 1 = 6.
+        let mut s = make(SG, 10, 5, &[(0, 40)]);
+        s.admit(ObjectId(0), 0).unwrap();
+        let mut profile = Vec::new();
+        for t in 0..4 {
+            s.plan_cycle(t);
+            profile.push(s.buffer_in_use());
+        }
+        assert_eq!(profile, [4, 3, 2, 1]);
+        s.plan_cycle(4); // read group 1 while delivering last track of g0
+        assert_eq!(s.buffer_high_water(), 6);
+        assert_eq!(s.buffer_in_use(), 4);
+    }
+
+    #[test]
+    fn single_failure_is_masked_with_one_reconstruction_per_group() {
+        // (scheme, failed disk): a data disk in cluster 0. Group 0 reads
+        // 3 data + parity; over its transmission cycles every track
+        // arrives and exactly one was rebuilt from parity.
+        for (scheme, disk) in [(SR, 2u32), (SG, 1)] {
+            let mut s = make(scheme, 10, 5, &[(0, 16)]);
+            let id = s.admit(ObjectId(0), 0).unwrap();
+            let r = s.on_disk_failure(DiskId(disk), 0, false);
+            assert!(!r.catastrophic);
+            assert_eq!(r.degraded_clusters, vec![ClusterId(0)]);
+            let p0 = s.plan_cycle(0);
+            assert_eq!(p0.total_reads(), 4, "{scheme}");
+            assert!(p0.reads_on(DiskId(disk)).is_empty());
+            let (mut delivered, mut reconstructed) = (0, 0);
+            for t in 1..=s.period() {
+                let p = s.plan_cycle(t);
+                assert!(p.hiccups.is_empty(), "{scheme} cycle {t}");
+                assert!(p.deliveries.iter().all(|d| d.stream == id));
+                delivered += p.deliveries.iter().filter(|d| d.addr.group == 0).count();
+                reconstructed += p.deliveries.iter().filter(|d| d.reconstructed).count();
+            }
+            assert_eq!((delivered, reconstructed), (4, 1), "{scheme}");
+        }
+    }
+
+    #[test]
+    fn parity_disk_failure_is_harmless() {
+        for scheme in [SR, SG] {
+            let mut s = make(scheme, 10, 5, &[(0, 8)]);
+            s.admit(ObjectId(0), 0).unwrap();
+            let r = s.on_disk_failure(DiskId(4), 0, false);
+            assert!(!r.catastrophic);
+            // 4 data reads, no parity read possible.
+            assert_eq!(s.plan_cycle(0).total_reads(), 4);
+            let mut delivered = 0;
+            for t in 1..=s.period() {
+                let p = s.plan_cycle(t);
+                assert!(p.hiccups.is_empty(), "{scheme}");
+                delivered += p.deliveries.len();
+            }
+            assert_eq!(delivered, 4, "{scheme}");
+        }
+    }
+
+    #[test]
+    fn second_failure_in_cluster_hiccups_the_affected_blocks() {
+        // (scheme, failed pair, tracks): the blocks on both failed disks
+        // hiccup, the other two of group 0 deliver.
+        for (scheme, pair, tracks) in [(SR, [1u32, 3], 16u64), (SG, [0, 2], 8)] {
+            let mut s = make(scheme, 10, 5, &[(0, tracks)]);
+            s.admit(ObjectId(0), 0).unwrap();
+            assert!(!s.on_disk_failure(DiskId(pair[0]), 0, false).catastrophic);
+            let r = s.on_disk_failure(DiskId(pair[1]), 0, false);
+            assert!(r.catastrophic);
+            assert!(r.data_loss_tracks > 0);
+            s.plan_cycle(0);
+            let (mut hiccups, mut delivered) = (0, 0);
+            for t in 1..=s.period() {
+                let p = s.plan_cycle(t);
+                hiccups += p.hiccups.len();
+                delivered += p.deliveries.len();
+            }
+            assert_eq!((hiccups, delivered), (2, 2), "{scheme}");
+        }
+    }
+
+    #[test]
+    fn failures_in_different_clusters_are_tolerated() {
+        let mut s = make(SR, 10, 5, &[(0, 16)]);
+        s.admit(ObjectId(0), 0).unwrap();
+        assert!(!s.on_disk_failure(DiskId(1), 0, false).catastrophic);
+        assert!(!s.on_disk_failure(DiskId(6), 0, false).catastrophic);
+        let _ = s.plan_cycle(0);
+        for t in 1..5 {
+            let p = s.plan_cycle(t);
+            assert!(p.hiccups.is_empty(), "cycle {t}");
+        }
+    }
+
+    #[test]
+    fn repair_restores_normal_reads() {
+        let mut s = make(SR, 10, 5, &[(0, 40)]);
+        s.admit(ObjectId(0), 0).unwrap();
+        s.on_disk_failure(DiskId(0), 0, false);
+        let p0 = s.plan_cycle(0);
+        assert_eq!(p0.total_reads(), 4);
+        s.on_disk_repair(DiskId(0), 1);
+        let _p1 = s.plan_cycle(1);
+        let p2 = s.plan_cycle(2); // back on cluster 0
+        assert_eq!(p2.total_reads(), 5);
+    }
+
+    #[test]
+    fn stream_capacity_matches_eq8_and_eq9_shapes() {
+        // (scheme, disks, capacity). SR: 52 slots/disk/cycle × N_C; Eq. 8
+        // with Table 1 and D = 100, C = 5 gives 1041.67, floored per
+        // class to 52 × 20 = 1040. SG: slots(12) × phases(4) × clusters(2).
+        for (scheme, disks, cap) in [(SR, 10, 104usize), (SR, 100, 1040), (SG, 10, 96)] {
+            let s = make(scheme, disks, 5, &[(0, 40)]);
+            assert_eq!(s.stream_capacity(), cap, "{scheme} D={disks}");
+        }
+    }
+
+    #[test]
+    fn admission_rejects_a_full_class() {
+        for scheme in [SR, SG] {
+            let mut s = make(scheme, 10, 5, &[(0, 400)]);
+            let slots = s.config().slots_per_disk();
+            // Same start cycle, same object: one class, so only `slots` fit.
+            for _ in 0..slots {
+                s.admit(ObjectId(0), 0).unwrap();
+            }
+            assert!(
+                matches!(
+                    s.admit(ObjectId(0), 0),
+                    Err(AdmissionError::AtCapacity { .. })
+                ),
+                "{scheme}"
+            );
+            // A different phase (SG) or trajectory (SR) still has room.
+            assert!(s.admit(ObjectId(0), 1).is_ok(), "{scheme}");
+        }
+    }
+
+    #[test]
+    fn slots_are_held_until_the_stream_finishes() {
+        // A slot is returned at the final delivery, not at the final read:
+        // a one-group SG stream read at cycle 0 still holds its slot while
+        // its tracks drain, so a full class stays full until it finishes.
+        let mut s = make(SG, 10, 5, &[(0, 4)]);
+        let slots = s.config().slots_per_disk();
+        for _ in 0..slots {
+            s.admit(ObjectId(0), 0).unwrap();
+        }
+        for t in 0..4 {
+            s.plan_cycle(t);
+        }
+        // Cycle 8 is phase 0 on the same trajectory (N_C = 2, period 4).
+        assert!(s.admit(ObjectId(0), 8).is_err());
+        s.plan_cycle(4);
+        assert_eq!(s.active_streams(), 0);
+        assert!(s.admit(ObjectId(0), 8).is_ok());
+    }
+
+    #[test]
+    fn partial_final_group_delivers_short() {
+        let mut s = make(SR, 10, 5, &[(0, 6)]); // groups: 4 + 2 tracks
+        let id = s.admit(ObjectId(0), 0).unwrap();
+        let p0 = s.plan_cycle(0);
+        assert_eq!(p0.total_reads(), 5);
+        let p1 = s.plan_cycle(1);
+        assert_eq!(p1.total_reads(), 3); // 2 data + parity
+        assert_eq!(p1.deliveries.len(), 4);
+        let p2 = s.plan_cycle(2);
+        assert_eq!(p2.deliveries.len(), 2);
+        assert_eq!(p2.finished, vec![id]);
+        assert_eq!(s.buffer_in_use(), 0);
     }
 
     #[test]
     fn every_k_prime_delivers_everything() {
         for k_prime in [1usize, 2, 4, 8] {
-            let mut s = make(k_prime);
+            let mut s = make_c9(k_prime);
             let id = s.admit(ObjectId(0), 0).unwrap();
             let mut delivered = 0u64;
             let mut t = 0;
@@ -506,6 +885,7 @@ mod tests {
                 assert!(t < 10_000, "k'={k_prime} never finished");
             }
             assert_eq!(delivered, 240, "k'={k_prime}");
+            assert_eq!(s.buffer_in_use(), 0, "k'={k_prime}");
         }
     }
 
@@ -516,7 +896,7 @@ mod tests {
         // group is resident at once for less time.
         let mut peaks = Vec::new();
         for k_prime in [1usize, 2, 4, 8] {
-            let mut s = make(k_prime);
+            let mut s = make_c9(k_prime);
             s.admit(ObjectId(0), 0).unwrap();
             for t in 0..40 {
                 s.plan_cycle(t);
@@ -526,13 +906,10 @@ mod tests {
         for w in peaks.windows(2) {
             assert!(w[1] >= w[0], "{peaks:?}");
         }
-        // SG endpoint: C + 1 = 10. SR endpoint: 2C − 1 = 17 — one less
-        // than the StreamingRaidScheduler's 2C because this scheduler
-        // releases parity as soon as the group is resident (the paper's
-        // 2C count holds it through delivery; both are valid bookkeeping,
-        // the paper's being the conservative one).
+        // SG endpoint: C + 1 = 10. SR endpoint: the paper's 2C = 18, since
+        // Streaming RAID holds parity until its group is transmitted.
         assert_eq!(peaks[0], 10, "{peaks:?}");
-        assert_eq!(peaks[3], 17, "{peaks:?}");
+        assert_eq!(peaks[3], 18, "{peaks:?}");
     }
 
     #[test]
@@ -541,8 +918,7 @@ mod tests {
         // with k' (the §2 efficiency argument behind large k).
         let mut per_stream_capacity = Vec::new();
         for k_prime in [1usize, 2, 4, 8] {
-            let s = make(k_prime);
-            per_stream_capacity.push(s.stream_capacity());
+            per_stream_capacity.push(make_c9(k_prime).stream_capacity());
         }
         for w in per_stream_capacity.windows(2) {
             assert!(w[1] >= w[0], "{per_stream_capacity:?}");
@@ -552,7 +928,7 @@ mod tests {
     #[test]
     fn failures_are_masked_at_every_k_prime() {
         for k_prime in [1usize, 2, 4, 8] {
-            let mut s = make(k_prime);
+            let mut s = make_c9(k_prime);
             let id = s.admit(ObjectId(0), 0).unwrap();
             s.on_disk_failure(DiskId(3), 0, false);
             let mut t = 0;
@@ -564,7 +940,8 @@ mod tests {
                 t += 1;
                 assert!(t < 10_000);
             }
-            assert!(reconstructed > 0, "k'={k_prime}");
+            // One block per group on the failed disk: 240 / 8 groups.
+            assert_eq!(reconstructed, 30, "k'={k_prime}");
         }
     }
 }

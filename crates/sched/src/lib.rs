@@ -5,17 +5,19 @@
 //!
 //! | Scheduler | Paper section | `k` | `k'` | Normal-mode parity reads |
 //! |---|---|---|---|---|
-//! | [`StreamingRaidScheduler`] | §2 (Tobagi et al.'s Streaming RAID) | `C−1` | `C−1` | yes, every cycle |
-//! | [`StaggeredScheduler`] | §2 (Staggered-group) | `C−1` | `1` | yes, at each read cycle |
+//! | [`GroupedScheduler`] as Streaming RAID | §2 (Tobagi et al.'s Streaming RAID) | `C−1` | `C−1` | yes, every cycle |
+//! | [`GroupedScheduler`] as Staggered-group | §2 (Staggered-group) | `C−1` | `1` | yes, at each read cycle |
 //! | [`NonClusteredScheduler`] | §3 | `1` | `1` | no (degraded mode only) |
 //! | [`ImprovedScheduler`] | §4 | `C−1` | `C−1` | no (parity on next cluster) |
 //!
-//! [`GroupedScheduler`] generalizes the SR/SG pair to any `k′ | C−1`
-//! (the GSS-style continuum of the paper's reference \[3\]), and
-//! [`BaselineScheduler`] is the unprotected striped
-//! server of Section 1 — no parity at all — the quantitative foil
-//! ("without some form of fault tolerance, such a system is not likely to
-//! be acceptable").
+//! Streaming RAID and Staggered-group are the endpoints of one cycle
+//! model (Figure 2), so one scheduler implements both and every
+//! `k′ | C−1` between them (the GSS-style continuum of the paper's
+//! reference \[3\]); the scheme it is built as decides only when a
+//! group's parity buffer is released. [`BaselineScheduler`] is the
+//! unprotected striped server of Section 1 — no parity at all — the
+//! quantitative foil ("without some form of fault tolerance, such a
+//! system is not likely to be acceptable").
 //!
 //! All four share the cycle model of Section 2: during each time period
 //! data for each active stream is read into memory while the data read in
@@ -42,8 +44,6 @@ mod grouped;
 mod improved;
 mod nonclustered;
 mod plan;
-mod staggered;
-mod streaming_raid;
 mod streams;
 mod traits;
 
@@ -53,8 +53,6 @@ pub use grouped::GroupedScheduler;
 pub use improved::ImprovedScheduler;
 pub use nonclustered::{NonClusteredScheduler, TransitionPolicy};
 pub use plan::{CyclePlan, Delivery, LossReason, LostBlock, PlannedRead, ReadPurpose};
-pub use staggered::StaggeredScheduler;
-pub use streaming_raid::StreamingRaidScheduler;
 pub use streams::{StreamId, StreamInfo};
 pub use traits::{
     emit_mode_transition, AdmissionError, FailureReport, PlanStability, RetireError, SchemeKind,

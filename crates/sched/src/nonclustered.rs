@@ -210,9 +210,10 @@ impl NonClusteredScheduler {
         (tracks - g * bpg).min(bpg) as u32
     }
 
-    /// Admission class (see module docs of `streaming_raid` for the
-    /// derivation): streams with equal read-phase residue and cluster
-    /// trajectory contend for the same slots at every cycle.
+    /// Admission class (the same phase × trajectory classes as
+    /// [`GroupedScheduler`](crate::GroupedScheduler)'s): streams with equal
+    /// read-phase residue and cluster trajectory contend for the same
+    /// slots at every cycle.
     fn class_of(&self, h: u32, at_cycle: u64) -> (u32, u32) {
         let period = self.bpg();
         let nc = u64::from(self.catalog.layout().geometry().clusters());

@@ -5,7 +5,8 @@
 use mms_disk::{Bandwidth, DiskId, DiskParams};
 use mms_layout::{BandwidthClass, Catalog, ClusteredLayout, Geometry, MediaObject, ObjectId};
 use mms_sched::{
-    CycleConfig, NonClusteredScheduler, SchemeScheduler, StaggeredScheduler, TransitionPolicy,
+    CycleConfig, GroupedScheduler, NonClusteredScheduler, SchemeKind, SchemeScheduler,
+    TransitionPolicy,
 };
 
 fn catalog(disks: usize, c: usize, objects: u64, tracks: u64) -> Catalog<ClusteredLayout> {
@@ -86,7 +87,8 @@ fn staggered_failure_between_read_cycles_is_invisible() {
         4,
         1,
     );
-    let mut s = StaggeredScheduler::new(cfg, catalog(10, 5, 1, 8));
+    let mut s =
+        GroupedScheduler::with_scheme(SchemeKind::StaggeredGroup, cfg, catalog(10, 5, 1, 8));
     s.admit(ObjectId(0), 0).unwrap();
     let p0 = s.plan_cycle(0); // read group 0 (cycles 0..4 deliver it)
     assert_eq!(p0.total_reads(), 5);
@@ -113,7 +115,8 @@ fn staggered_admission_spreads_over_phases_and_clusters() {
         1,
     );
     // Objects 0 and 1 start on clusters 0 and 1 (round-robin).
-    let mut s = StaggeredScheduler::new(cfg, catalog(10, 5, 2, 400));
+    let mut s =
+        GroupedScheduler::with_scheme(SchemeKind::StaggeredGroup, cfg, catalog(10, 5, 2, 400));
     let slots = s.config().slots_per_disk();
     // Fill phase 0 of object 0's trajectory…
     for _ in 0..slots {
@@ -246,51 +249,57 @@ mod ib_edges {
     }
 }
 
-mod sr_edges {
+mod grouped_edges {
     use super::*;
-    use mms_sched::StreamingRaidScheduler;
 
     #[test]
-    fn sr_admission_capacity_is_exact() {
-        let geo = Geometry::clustered(20, 5).unwrap();
-        let mut cat = Catalog::new(ClusteredLayout::new(geo), 1_000_000);
-        for i in 0..4u64 {
-            cat.add(MediaObject::new(
-                ObjectId(i),
-                format!("m{i}"),
-                100_000,
-                BandwidthClass::Mpeg1,
-            ))
-            .unwrap();
-        }
-        let cfg = CycleConfig::new(
-            DiskParams::paper_table1(),
-            Bandwidth::from_megabits(1.5),
-            4,
-            4,
-        );
-        let mut s = StreamingRaidScheduler::new(cfg, cat);
-        let cap = s.stream_capacity();
-        let mut admitted = 0;
-        let mut denied_streak = 0;
-        let mut t = 0u64;
-        while denied_streak < 6 {
-            let obj = ObjectId(admitted as u64 % 4);
-            if s.admit(obj, t).is_ok() {
-                admitted += 1;
-                denied_streak = 0;
-            } else {
-                denied_streak += 1;
-                s.plan_cycle(t);
-                t += 1;
+    fn grouped_admission_capacity_is_exact() {
+        // (scheme, k′): both endpoints fill every (phase, trajectory)
+        // class to the slot count and not one stream more.
+        for (scheme, k_prime) in [
+            (SchemeKind::StreamingRaid, 4),
+            (SchemeKind::StaggeredGroup, 1),
+        ] {
+            let geo = Geometry::clustered(20, 5).unwrap();
+            let mut cat = Catalog::new(ClusteredLayout::new(geo), 1_000_000);
+            for i in 0..4u64 {
+                cat.add(MediaObject::new(
+                    ObjectId(i),
+                    format!("m{i}"),
+                    100_000,
+                    BandwidthClass::Mpeg1,
+                ))
+                .unwrap();
             }
-        }
-        assert_eq!(admitted, cap);
-        let capacity = s.config().slots_per_disk();
-        for tt in t..t + 4 {
-            let p = s.plan_cycle(tt);
-            for reads in p.reads.values() {
-                assert!(reads.len() <= capacity);
+            let cfg = CycleConfig::new(
+                DiskParams::paper_table1(),
+                Bandwidth::from_megabits(1.5),
+                4,
+                k_prime,
+            );
+            let mut s = GroupedScheduler::with_scheme(scheme, cfg, cat);
+            let cap = s.stream_capacity();
+            let mut admitted = 0;
+            let mut denied_streak = 0;
+            let mut t = 0u64;
+            while denied_streak < 6 {
+                let obj = ObjectId(admitted as u64 % 4);
+                if s.admit(obj, t).is_ok() {
+                    admitted += 1;
+                    denied_streak = 0;
+                } else {
+                    denied_streak += 1;
+                    s.plan_cycle(t);
+                    t += 1;
+                }
+            }
+            assert_eq!(admitted, cap, "{scheme}");
+            let capacity = s.config().slots_per_disk();
+            for tt in t..t + 4 {
+                let p = s.plan_cycle(tt);
+                for reads in p.reads.values() {
+                    assert!(reads.len() <= capacity, "{scheme}");
+                }
             }
         }
     }
