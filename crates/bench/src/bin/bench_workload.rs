@@ -98,7 +98,7 @@ fn run_cell(cell: &Cell, mut rng: StdRng, cycles: u64) -> CellResult {
     // with it on: arrival-free stretches between sessions fast-forward.
     server.set_step_mode(StepMode::EventHorizon);
     let cfg = server.cycle_config();
-    let nominal = TRACKS.div_ceil(cfg.k as u64) * cfg.read_period() as u64;
+    let nominal = cfg.session_cycles(TRACKS);
     // Little's law: `load x capacity` concurrent sessions of mean hold
     // `nominal x (1 - ABANDON/2)` cycles need this many arrivals/cycle.
     let rate =

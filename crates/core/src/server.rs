@@ -10,7 +10,6 @@ use mms_reliability::montecarlo::{CatastropheRule, MonteCarlo, TrialStats};
 use mms_sched::{CycleConfig, FailureReport, SchemeKind, SchemeScheduler, StreamId, StreamInfo};
 use mms_sim::{
     CycleReport, FailureEvent, Metrics, RebuildSource, SessionEngine, Simulator, StepMode,
-    WorkloadGen,
 };
 use rand::Rng;
 
@@ -167,19 +166,10 @@ impl MultimediaServer {
         Ok(self.sim.run(cycles)?)
     }
 
-    /// Simulate with Poisson arrivals; returns rejected admissions.
-    pub fn run_with_workload<R: Rng + ?Sized>(
-        &mut self,
-        cycles: u64,
-        workload: &WorkloadGen,
-        rng: &mut R,
-    ) -> Result<u64, ServerError> {
-        Ok(self.sim.run_with_workload(cycles, workload, rng)?)
-    }
-
     /// End a viewer's stream early (they stopped watching). Buffered
     /// groups drain and the stream retires at the next delivery
-    /// boundary; returns `false` if the stream is not active.
+    /// boundary; returns `false` if there is nothing to cut (see
+    /// [`SchemeScheduler::release`]).
     pub fn release(&mut self, id: StreamId) -> bool {
         self.sim.release(id)
     }
@@ -338,8 +328,8 @@ impl MultimediaServer {
             .find(|&id| self.purge_object(id).is_ok())
     }
 
-    /// How [`run`](Self::run), [`run_with_workload`](Self::run_with_workload),
-    /// and [`run_sessions`](Self::run_sessions) advance simulated time.
+    /// How [`run`](Self::run) and [`run_sessions`](Self::run_sessions)
+    /// advance simulated time.
     /// [`StepMode::EventHorizon`] fast-forwards provably quiescent
     /// stretches with observably identical results; see
     /// [`Simulator::advance_quiescent`].
@@ -473,6 +463,40 @@ mod tests {
             // stream drains its buffered groups and retires cleanly.
             assert_eq!(s.metrics().total_hiccups(), 0, "{scheme:?}");
             assert_eq!(s.metrics().catastrophes, 0, "{scheme:?}");
+        }
+    }
+
+    #[test]
+    fn full_length_sessions_are_not_released_early() {
+        use mms_sim::{AdmissionPolicy, ArrivalProcess, SplitMix64};
+        // A viewer who watches to the end has had every group read by
+        // the time the hold expires: the release cuts nothing, so it is
+        // not an early end, and the run matches one with a longer hold.
+        let run = |scheme: Scheme, hold_scale: u64| {
+            let mut s = server(scheme);
+            let movie = s.objects()[0];
+            // 0.5 min MPEG-1 at 50 KB tracks = 113 tracks.
+            let hold = s.cycle_config().session_cycles(113) * hold_scale;
+            let mut engine = SessionEngine::new(
+                vec![(movie, hold)],
+                0.0,
+                ArrivalProcess::poisson(0.5),
+                AdmissionPolicy::Reject,
+            );
+            let mut rng = SplitMix64::new(5);
+            s.run_sessions(400, &mut engine, &mut rng).unwrap();
+            let m = s.metrics();
+            (
+                engine.stats().released_early,
+                m.delivered,
+                m.streams_finished,
+            )
+        };
+        for scheme in Scheme::ALL {
+            let (early, delivered, finished) = run(scheme, 1);
+            assert!(finished > 50, "{scheme:?}: {finished} finished");
+            assert_eq!(early, 0, "{scheme:?}: full-length holds ended early");
+            assert_eq!(run(scheme, 2), (0, delivered, finished), "{scheme:?}");
         }
     }
 

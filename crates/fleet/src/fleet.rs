@@ -437,7 +437,6 @@ impl FleetBuilder {
         // All nodes share one geometry, so one node's cycle config
         // prices every object's nominal hold.
         let cfg = *nodes[0].server.cycle_config();
-        let nominal = |tracks: u64| tracks.div_ceil(cfg.k as u64) * cfg.read_period() as u64;
         let mut holds = Vec::with_capacity(placement.objects().len());
         let mut tracks = Vec::with_capacity(placement.objects().len());
         for &id in placement.objects() {
@@ -445,7 +444,7 @@ impl FleetBuilder {
                 .iter()
                 .find(|o| o.id == id)
                 .expect("placement catalog mirrors registered objects");
-            holds.push(nominal(obj.tracks).max(1));
+            holds.push(cfg.session_cycles(obj.tracks).max(1));
             tracks.push(obj.tracks);
         }
 

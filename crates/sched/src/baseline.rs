@@ -177,11 +177,15 @@ impl SchemeScheduler for BaselineScheduler {
         let Some(st) = self.streams.get_mut(&id) else {
             return false;
         };
-        self.epoch += 1;
         // One block is read per cycle, `bpg` cycles per group, so the
         // started-group count is the ceiling of the elapsed span.
         let elapsed = self.next_cycle.saturating_sub(st.start_cycle);
         let started = elapsed.div_ceil(bpg);
+        if started >= st.groups {
+            // Every group is already under way: nothing to cut.
+            return false;
+        }
+        self.epoch += 1;
         if started == 0 {
             // Nothing read yet: retire immediately. Admission counts
             // live streams directly, so no class bookkeeping to undo.

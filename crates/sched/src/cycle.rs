@@ -52,6 +52,14 @@ impl CycleConfig {
         self.k / self.k_prime
     }
 
+    /// A full-length session's slot-hold time for an object of `tracks`
+    /// tracks: one read cycle per `k`-track group, spaced
+    /// [`read_period`](Self::read_period) cycles apart.
+    #[must_use]
+    pub fn session_cycles(&self, tracks: u64) -> u64 {
+        tracks.div_ceil(self.k as u64) * self.read_period() as u64
+    }
+
     /// Per-disk, per-cycle slot capacity: the number of track reads that
     /// fit in one cycle, `max r: τ_seek + r·τ_trk ≤ T_cyc`.
     #[must_use]
@@ -89,6 +97,8 @@ mod tests {
             1,
         );
         assert_eq!(cfg.read_period(), 4);
+        // 10 tracks = 3 groups of k = 4, read 4 cycles apart.
+        assert_eq!(cfg.session_cycles(10), 12);
         // T_cyc = 0.2667 s; slots = floor((266.7 - 25)/20) = 12.
         assert_eq!(cfg.slots_per_disk(), 12);
     }

@@ -294,13 +294,17 @@ impl SchemeScheduler for GroupedScheduler {
         let Some(st) = self.streams.get_mut(&id) else {
             return false;
         };
-        self.epoch += 1;
         // Group g is read at `start + g·period`, so the resident count
         // is the ceiling of the elapsed span over the period.
         let read = self
             .next_cycle
             .saturating_sub(st.start_cycle)
             .div_ceil(period);
+        if read >= st.groups {
+            // Every group is already read: nothing to cut.
+            return false;
+        }
+        self.epoch += 1;
         if read == 0 {
             // Nothing read yet: retire immediately, returning the slot.
             self.class_load[st.class] -= 1;

@@ -292,9 +292,13 @@ impl SchemeScheduler for ImprovedScheduler {
         let Some(st) = self.streams.get_mut(&id) else {
             return false;
         };
-        self.epoch += 1;
         // One group is read per cycle, so `elapsed` groups are resident.
         let elapsed = self.next_cycle.saturating_sub(st.start_cycle);
+        if elapsed >= st.groups {
+            // Every group is already read: nothing to cut.
+            return false;
+        }
+        self.epoch += 1;
         if elapsed == 0 {
             // Nothing read yet: retire immediately, returning the slot.
             let class = st.class as usize;

@@ -656,11 +656,15 @@ impl SchemeScheduler for NonClusteredScheduler {
         let Some(st) = self.streams.get_mut(&id) else {
             return false;
         };
-        self.epoch += 1;
         // One block is read per cycle in normal mode, `bpg` cycles per
         // group, so the started-group count is the elapsed ceiling.
         let elapsed = self.next_cycle.saturating_sub(st.start_cycle);
         let started = elapsed.div_ceil(bpg);
+        if started >= st.groups {
+            // Every group is already under way: nothing to cut.
+            return false;
+        }
+        self.epoch += 1;
         if started == 0 {
             // Nothing read yet: retire immediately. Transition state
             // keyed by this stream is tolerated by the delivery and

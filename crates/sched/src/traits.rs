@@ -270,8 +270,12 @@ pub trait SchemeScheduler {
     /// finish path fires at the next delivery boundary and the stream is
     /// reported in [`CyclePlan::finished`]. A stream that has read
     /// nothing yet is retired immediately with its admission slot and
-    /// buffers returned. Returns `false` if the stream is unknown
-    /// (already finished or never admitted) — releasing twice is safe.
+    /// buffers returned. Returns `false`, changing nothing, if the
+    /// stream is unknown (already finished or never admitted) or has
+    /// already read every group it will read (a full-length viewer whose
+    /// last group is still draining, or a stream released before):
+    /// only a release that cuts unread groups is an early end.
+    /// Releasing twice is safe.
     fn release(&mut self, id: StreamId) -> bool;
 
     /// React to a disk failure. `mid_cycle` indicates the failure struck

@@ -14,13 +14,14 @@
 //!   against the synthetic ground truth (reconstructed blocks are rebuilt
 //!   through `mms-parity`, exactly as a real server would), and
 //!   accumulates [`Metrics`].
-//! * [`WorkloadGen`] — Poisson stream arrivals over a Zipf-popularity
-//!   catalog of MPEG-1/MPEG-2 movies (the movie-on-demand workload the
-//!   paper's introduction motivates).
-//! * [`SessionEngine`] — the heavy-traffic session lifecycle on top of
-//!   it: bursty (MMPP) arrival modulation, per-stream VBR holds, viewer
+//! * [`SessionEngine`] — the movie-on-demand workload the paper's
+//!   introduction motivates, as one session loop driven by
+//!   [`Simulator::run_sessions`]: Poisson or bursty (MMPP) arrivals over
+//!   a Zipf-popularity catalog, per-stream VBR holds, viewer
 //!   abandonment, and the Reject / Degrade / Queue admission policies,
-//!   with streaming (P²) admission-wait percentiles.
+//!   with streaming (P²) admission-wait percentiles. Plain Poisson
+//!   arrivals with full-length holds under Reject are the open-loop
+//!   workload.
 //! * [`FailureSchedule`] — deterministic or stochastic disk-failure
 //!   injection, sharing `mms-disk`'s exponential processes.
 //! * [`RebuildManager`] — the third operating mode (rebuild): restore a
@@ -56,6 +57,5 @@ pub use scenario::{Check, Expectation, Horizon, Scenario, ScenarioEvent, Scenari
 pub use simulator::{DataMode, ObjectDirectory, SimError, Simulator, StepMode};
 pub use verify::BlockOracle;
 pub use workload::{
-    poisson, AdmissionPolicy, ArrivalProcess, SessionEngine, SessionStats, SplitMix64, WorkloadGen,
-    Zipf,
+    poisson, AdmissionPolicy, ArrivalProcess, SessionEngine, SessionStats, SplitMix64, Zipf,
 };

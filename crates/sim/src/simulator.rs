@@ -4,7 +4,7 @@ use crate::failure::{FailureEvent, FailureSchedule};
 use crate::metrics::{CycleReport, Metrics};
 use crate::rebuild::{Rebuild, RebuildManager, RebuildSource};
 use crate::verify::BlockOracle;
-use crate::workload::{SessionEngine, WorkloadGen};
+use crate::workload::SessionEngine;
 use mms_disk::{DiskArray, DiskError, DiskParams, Time};
 use mms_layout::ObjectId;
 use mms_sched::{AdmissionError, CyclePlan, PlanStability, SchemeScheduler, StreamId};
@@ -217,7 +217,6 @@ impl<S: SchemeScheduler> Simulator<S> {
     }
 
     /// Choose how the run drivers ([`run`](Self::run),
-    /// [`run_with_workload`](Self::run_with_workload),
     /// [`run_sessions`](Self::run_sessions)) advance time. Default:
     /// [`StepMode::CycleByCycle`].
     pub fn set_step_mode(&mut self, mode: StepMode) {
@@ -284,14 +283,7 @@ impl<S: SchemeScheduler> Simulator<S> {
     /// deliveries → hiccups → release).
     pub fn admit(&mut self, object: ObjectId) -> Result<StreamId, AdmissionError> {
         let stream = self.scheduler.admit(object, self.cycle)?;
-        event!(
-            Level::Info,
-            "admit",
-            cycle = self.cycle,
-            stream = stream.0,
-            object = object.0,
-            scheme = self.scheduler.scheme().abbrev(),
-        );
+        admit_event(&self.scheduler, self.cycle, stream, object);
         Ok(stream)
     }
 
@@ -737,79 +729,14 @@ impl<S: SchemeScheduler> Simulator<S> {
         Ok(())
     }
 
-    /// Simulate `cycles` cycles with Poisson arrivals from `workload`;
-    /// capacity rejections are counted, not fatal.
-    ///
-    /// Arrival counts are sampled in strict cycle order — one Poisson
-    /// draw per cycle — whichever [`StepMode`] is configured, so the
-    /// RNG stream (and therefore every admitted object) is identical
-    /// across modes; in event-horizon mode the draws for upcoming
-    /// cycles happen eagerly so arrival-free stretches can be skipped.
-    pub fn run_with_workload<R: Rng + ?Sized>(
-        &mut self,
-        cycles: u64,
-        workload: &WorkloadGen,
-        rng: &mut R,
-    ) -> Result<u64, SimError> {
-        let end = self.cycle + cycles;
-        let mut rejected = 0u64;
-        // The one pre-drawn nonzero batch, and the watermark below which
-        // every cycle's count has already been drawn (zero unless held in
-        // `presampled`). The watermark keeps a stalled fast path — stepping
-        // per-cycle through an already-scanned stretch — from drawing a
-        // cycle's Poisson count a second time, which would fork the RNG
-        // stream away from a cycle-by-cycle run.
-        let mut presampled: Option<(u64, usize)> = None;
-        let mut sampled_through = self.cycle;
-        while self.cycle < end {
-            let cycle = self.cycle;
-            let arrivals = match presampled {
-                Some((due, n)) if due == cycle => {
-                    presampled = None;
-                    n
-                }
-                Some(_) => 0,
-                None if cycle < sampled_through => 0,
-                None => {
-                    sampled_through = cycle + 1;
-                    workload.arrivals(rng)
-                }
-            };
-            for _ in 0..arrivals {
-                let object = workload.pick(rng);
-                if self.admit(object).is_err() {
-                    rejected += 1;
-                }
-            }
-            self.step()?;
-            if self.step_mode == StepMode::EventHorizon {
-                if presampled.is_none() {
-                    let mut next = self.cycle.max(sampled_through);
-                    while next < end {
-                        sampled_through = next + 1;
-                        let n = workload.arrivals(rng);
-                        if n > 0 {
-                            presampled = Some((next, n));
-                            break;
-                        }
-                        next += 1;
-                    }
-                }
-                let target = presampled.map_or(end, |(due, _)| due);
-                while self.cycle < target && self.advance_quiescent(target)? > 0 {}
-            }
-        }
-        Ok(rejected)
-    }
-
     /// End a stream early (viewer stopped watching). The scheduler
     /// drains what the stream already buffered and retires it at the
-    /// next delivery boundary; returns `false` if the stream is not
-    /// active (already finished or never admitted).
+    /// next delivery boundary; returns `false` if there is nothing to
+    /// cut (see [`SchemeScheduler::release`]).
     pub fn release(&mut self, id: StreamId) -> bool {
         let released = self.scheduler.release(id);
         if released {
-            event!(Level::Info, "release", cycle = self.cycle, stream = id.0);
+            release_event(self.cycle, id);
         }
         released
     }
@@ -849,14 +776,38 @@ impl<S: SchemeScheduler> Simulator<S> {
     }
 }
 
+/// Record a stream's admission as an `Info` "admit" event carrying the
+/// stream id, so a flight recording can anchor the stream's causal
+/// timeline (admit → deliveries → hiccups → release). Shared by
+/// [`Simulator::admit`] and the [`SessionEngine`]'s admissions.
+pub(crate) fn admit_event<S: SchemeScheduler>(
+    sched: &S,
+    cycle: u64,
+    stream: StreamId,
+    object: ObjectId,
+) {
+    event!(
+        Level::Info,
+        "admit",
+        cycle = cycle,
+        stream = stream.0,
+        object = object.0,
+        scheme = sched.scheme().abbrev(),
+    );
+}
+
+/// Record an early end as an `Info` "release" event. Shared by
+/// [`Simulator::release`] and the [`SessionEngine`]'s timed releases.
+pub(crate) fn release_event(cycle: u64, stream: StreamId) {
+    event!(Level::Info, "release", cycle = cycle, stream = stream.0);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use mms_disk::{Bandwidth, DiskId};
     use mms_layout::{BandwidthClass, Catalog, ClusteredLayout, Geometry, MediaObject};
     use mms_sched::{CycleConfig, GroupedScheduler};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn build(disks: usize, c: usize, tracks: u64) -> Simulator<GroupedScheduler> {
         let geo = Geometry::clustered(disks, c).unwrap();
@@ -951,20 +902,6 @@ mod tests {
         // Two blocks lost per cluster-0 group (groups 0 and 2).
         assert_eq!(m.hiccups_failed_disk, 4);
         assert_eq!(m.delivered, 12);
-    }
-
-    #[test]
-    fn workload_driver_admits_and_runs() {
-        let mut sim = build(10, 5, 8);
-        let workload = WorkloadGen::new(vec![ObjectId(0)], 0.0, 0.8);
-        let mut rng = StdRng::seed_from_u64(11);
-        let rejected = sim.run_with_workload(50, &workload, &mut rng).unwrap();
-        let m = sim.metrics();
-        assert!(m.streams_finished > 5);
-        assert_eq!(m.total_hiccups(), 0);
-        assert_eq!(m.delivered, m.verified);
-        // Capacity is large; nothing should be rejected at this rate.
-        assert_eq!(rejected, 0);
     }
 
     #[test]
@@ -1206,38 +1143,37 @@ mod tests {
     }
 
     #[test]
-    fn event_horizon_matches_workload_runs() {
-        let run = |mode: StepMode| {
-            let mut sim = build(10, 5, 40);
-            sim.set_step_mode(mode);
-            let workload = WorkloadGen::new(vec![ObjectId(0)], 0.0, 0.05);
-            let mut rng = crate::workload::SplitMix64::new(1995);
-            let rejected = sim.run_with_workload(600, &workload, &mut rng).unwrap();
-            (observe(&sim), rejected)
-        };
-        let slow = run(StepMode::CycleByCycle);
-        let fast = run(StepMode::EventHorizon);
-        assert!(slow.0.streams_finished > 0);
-        assert_eq!(slow, fast);
-    }
-
-    #[test]
     fn event_horizon_matches_session_runs() {
         use crate::workload::{AdmissionPolicy, ArrivalProcess, SessionEngine, SplitMix64};
 
-        let run = |mode: StepMode| {
-            let mut sim = build(10, 5, 200);
+        // `churn`: queueing, VBR and abandonment. Otherwise the plain
+        // open-loop workload: Poisson arrivals turned away at capacity,
+        // every viewer watching the 40-track movie (10 cycles) to the end.
+        let run = |mode: StepMode, churn: bool| {
+            let (mut sim, mut engine, seed, cycles) = if churn {
+                let engine = SessionEngine::new(
+                    vec![(ObjectId(0), 50)],
+                    0.0,
+                    ArrivalProcess::poisson(0.02),
+                    AdmissionPolicy::Queue { max_wait: 6 },
+                )
+                .with_vbr(vec![0.5, 1.0])
+                .with_abandonment(0.2);
+                (build(10, 5, 200), engine, 7, 800)
+            } else {
+                let sim = build(10, 5, 40);
+                let hold = sim.scheduler().config().session_cycles(40);
+                let engine = SessionEngine::new(
+                    vec![(ObjectId(0), hold)],
+                    0.0,
+                    ArrivalProcess::poisson(0.05),
+                    AdmissionPolicy::Reject,
+                );
+                (sim, engine, 1995, 600)
+            };
             sim.set_step_mode(mode);
-            let mut engine = SessionEngine::new(
-                vec![(ObjectId(0), 50)],
-                0.0,
-                ArrivalProcess::poisson(0.02),
-                AdmissionPolicy::Queue { max_wait: 6 },
-            )
-            .with_vbr(vec![0.5, 1.0])
-            .with_abandonment(0.2);
-            let mut rng = SplitMix64::new(7);
-            sim.run_sessions(800, &mut engine, &mut rng).unwrap();
+            let mut rng = SplitMix64::new(seed);
+            sim.run_sessions(cycles, &mut engine, &mut rng).unwrap();
             let stats = engine.stats().clone();
             (
                 observe(&sim),
@@ -1249,10 +1185,17 @@ mod tests {
                 stats.released_early,
             )
         };
-        let slow = run(StepMode::CycleByCycle);
-        let fast = run(StepMode::EventHorizon);
-        assert!(slow.1 > 0, "sessions must be offered");
-        assert_eq!(slow, fast);
+        for churn in [true, false] {
+            let slow = run(StepMode::CycleByCycle, churn);
+            let fast = run(StepMode::EventHorizon, churn);
+            assert!(slow.1 > 0, "sessions must be offered");
+            assert!(slow.0.streams_finished > 0);
+            if !churn {
+                // Full-length holds end nothing early.
+                assert_eq!(slow.6, 0);
+            }
+            assert_eq!(slow, fast);
+        }
     }
 
     #[test]

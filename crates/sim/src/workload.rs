@@ -2,22 +2,20 @@
 //!
 //! The paper sizes systems for "6500 concurrent MPEG-2 users or 20,000
 //! MPEG-1 users" watching movies; this module generates that kind of
-//! movie-on-demand request stream for the simulator and benches, at two
-//! levels:
+//! movie-on-demand request stream for the simulator and benches.
 //!
-//! * [`WorkloadGen`] — the original stateless arrival source: Poisson
-//!   arrivals per cycle over a Zipf(θ) catalog. Still the right tool
-//!   for open-loop soak tests.
-//! * [`SessionEngine`] — the full session lifecycle: Poisson or bursty
-//!   ([`ArrivalProcess::bursty`], a two-state MMPP) arrivals, per-stream
-//!   VBR quality drawn from a bitrate ladder, viewer abandonment, and
-//!   an explicit admission-control policy point
-//!   ([`AdmissionPolicy::Reject`] / [`Degrade`](AdmissionPolicy::Degrade)
-//!   / [`Queue`](AdmissionPolicy::Queue)). Sessions that end early are
-//!   returned to the scheduler via
-//!   [`SchemeScheduler::release`], so heavy-traffic runs churn streams
-//!   the way a real service does instead of letting every viewer watch
-//!   to the credits.
+//! [`SessionEngine`] is the one session loop: Poisson or bursty
+//! ([`ArrivalProcess::bursty`], a two-state MMPP) arrivals over a
+//! Zipf(θ) catalog, per-stream VBR quality drawn from a bitrate ladder,
+//! viewer abandonment, and an explicit admission-control policy point
+//! ([`AdmissionPolicy::Reject`] / [`Degrade`](AdmissionPolicy::Degrade) /
+//! [`Queue`](AdmissionPolicy::Queue)). Sessions that end early are
+//! returned to the scheduler via [`SchemeScheduler::release`], so
+//! heavy-traffic runs churn streams the way a real service does. The
+//! plain open-loop workload — Poisson arrivals, every viewer watching to
+//! the credits, blocked arrivals turned away — is the engine at its
+//! defaults: `ArrivalProcess::poisson(rate)`, `AdmissionPolicy::Reject`,
+//! and each object's hold set to its natural session length.
 //!
 //! Memory is O(active + queued sessions): pending releases live in a
 //! [`BinaryHeap`] keyed by due cycle, admission waits stream into
@@ -28,6 +26,7 @@
 //! or [`SplitMix64`] directly when a test must be pinned against RNG
 //! crate changes), so runs are bit-identical for a given seed.
 
+use crate::simulator::{admit_event, release_event};
 use mms_layout::ObjectId;
 use mms_sched::{SchemeScheduler, StreamId};
 use mms_telemetry::P2Quantile;
@@ -246,55 +245,6 @@ impl ArrivalProcess {
     }
 }
 
-/// Poisson-arrival workload over a catalog of objects.
-///
-/// The stateless open-loop source: streams are admitted and watched to
-/// the end. For session lifecycles (VBR, abandonment, QoS policies) use
-/// [`SessionEngine`].
-#[derive(Debug, Clone)]
-pub struct WorkloadGen {
-    objects: Vec<ObjectId>,
-    zipf: Zipf,
-    /// Mean new-stream arrivals per cycle.
-    rate: f64,
-}
-
-impl WorkloadGen {
-    /// Build a generator: `rate` mean arrivals per cycle, Zipf(θ)
-    /// popularity over `objects` (ordered most- to least-popular).
-    ///
-    /// # Panics
-    /// Panics if `objects` is empty or `rate` is negative.
-    #[must_use]
-    pub fn new(objects: Vec<ObjectId>, theta: f64, rate: f64) -> Self {
-        assert!(!objects.is_empty(), "need at least one object");
-        assert!(rate >= 0.0, "rate must be non-negative");
-        let zipf = Zipf::new(objects.len(), theta);
-        WorkloadGen {
-            objects,
-            zipf,
-            rate,
-        }
-    }
-
-    /// Number of arrivals this cycle (exact Poisson at any rate — see
-    /// [`poisson`] for why the naive product method is not used).
-    pub fn arrivals<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        poisson(self.rate, rng) as usize
-    }
-
-    /// Pick an object by popularity.
-    pub fn pick<R: Rng + ?Sized>(&self, rng: &mut R) -> ObjectId {
-        self.objects[self.zipf.sample(rng)]
-    }
-
-    /// The catalog, most popular first.
-    #[must_use]
-    pub fn objects(&self) -> &[ObjectId] {
-        &self.objects
-    }
-}
-
 /// What to do with an arrival that finds the server at capacity.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AdmissionPolicy {
@@ -343,7 +293,9 @@ pub struct SessionStats {
     /// Queued viewers that gave up after `max_wait` cycles.
     pub balked: u64,
     /// Sessions the engine ended early (abandonment, short VBR holds,
-    /// degraded quality) via [`SchemeScheduler::release`].
+    /// degraded quality) via [`SchemeScheduler::release`]. A hold that
+    /// expires after the stream has read its last group cuts nothing
+    /// and is not counted.
     pub released_early: u64,
     /// Median admission wait, in cycles.
     pub wait_p50: P2Quantile,
@@ -413,7 +365,10 @@ struct Pending {
 /// service-time variation — the quantity admission control actually
 /// competes over. Multipliers > 1 that push past the object's end are
 /// harmless: the stream finishes naturally and the scheduled release
-/// finds it already gone.
+/// finds it gone or its last group already read, which is not an early
+/// end. A hold of exactly the object's natural length
+/// ([`CycleConfig::session_cycles`](mms_sched::CycleConfig::session_cycles))
+/// is a viewer who watches to the end.
 ///
 /// **Abandonment.** With probability `abandon_prob` a viewer leaves
 /// after a uniform fraction of their intended session.
@@ -531,18 +486,6 @@ impl SessionEngine {
         self.queue.len()
     }
 
-    /// Early releases scheduled but not yet due.
-    #[must_use]
-    pub fn pending_releases(&self) -> usize {
-        self.releases.len()
-    }
-
-    /// The admission policy in force.
-    #[must_use]
-    pub fn policy(&self) -> AdmissionPolicy {
-        self.policy
-    }
-
     /// Sample one session's slot-hold time for an object of `nominal`
     /// cycles: VBR rung × (abandonment fraction), at least one cycle.
     fn sample_hold<R: Rng + ?Sized>(&self, nominal: u64, rng: &mut R) -> u64 {
@@ -577,6 +520,7 @@ impl SessionEngine {
         // lint:allow(transitive-alloc): admission allocates the stream's state once per session, not per cycle
         match sched.admit(object, cycle) {
             Ok(id) => {
+                admit_event(sched, cycle, id, object);
                 self.stats.admitted += 1;
                 if degrade {
                     self.stats.degraded += 1;
@@ -599,14 +543,15 @@ impl SessionEngine {
         rng: &mut R,
     ) {
         // 1. End sessions whose holds expired. `release` returns false
-        //    when the stream already finished naturally (VBR rungs > 1
-        //    or exact-length holds), which is not an early end.
+        //    when the stream has already read its last group (VBR rungs
+        //    > 1 or full-length holds), which is not an early end.
         while let Some(&Reverse((due, id))) = self.releases.peek() {
             if due > cycle {
                 break;
             }
             self.releases.pop();
             if sched.release(id) {
+                release_event(cycle, id);
                 self.stats.released_early += 1;
             }
         }
@@ -835,10 +780,9 @@ mod tests {
 
     #[test]
     fn poisson_mean_is_rate() {
-        let gen = WorkloadGen::new(vec![ObjectId(0)], 0.0, 2.5);
         let mut rng = rng(4);
         let n = 20_000;
-        let total: usize = (0..n).map(|_| gen.arrivals(&mut rng)).sum();
+        let total: u64 = (0..n).map(|_| poisson(2.5, &mut rng)).sum();
         let mean = total as f64 / n as f64;
         assert!((mean - 2.5).abs() < 0.05, "{mean}");
     }
@@ -880,20 +824,9 @@ mod tests {
 
     #[test]
     fn zero_rate_never_arrives() {
-        let gen = WorkloadGen::new(vec![ObjectId(0)], 0.0, 0.0);
         let mut rng = rng(7);
         for _ in 0..100 {
-            assert_eq!(gen.arrivals(&mut rng), 0);
-        }
-    }
-
-    #[test]
-    fn pick_respects_catalog() {
-        let objs = vec![ObjectId(7), ObjectId(8), ObjectId(9)];
-        let gen = WorkloadGen::new(objs.clone(), 0.271, 1.0);
-        let mut rng = rng(8);
-        for _ in 0..100 {
-            assert!(objs.contains(&gen.pick(&mut rng)));
+            assert_eq!(poisson(0.0, &mut rng), 0);
         }
     }
 

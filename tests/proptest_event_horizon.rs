@@ -1,9 +1,9 @@
 //! Property-based equivalence of the event-horizon fast path: random
 //! admit/release/run/fail/repair scripts drive two copies of the same
 //! system — one stepping cycle by cycle, one in `StepMode::EventHorizon`
-//! — and every observable outcome must match exactly, for all six
-//! schedulers (the four server schemes plus the grouped and unprotected
-//! baseline schedulers at the `Simulator` level).
+//! — and every observable outcome must match exactly, for every
+//! scheduler (the four server schemes, plus a mid-continuum grouped
+//! scheduler and the unprotected baseline at the `Simulator` level).
 //!
 //! `Op::Run(1)` is over-weighted so the horizon-1 degeneracy — a limit
 //! one cycle away, where the fast path must decline and fall back to a

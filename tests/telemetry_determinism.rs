@@ -9,9 +9,9 @@ use ft_media_server::exec::Parallelism;
 use ft_media_server::layout::{BandwidthClass, MediaObject, ObjectId};
 use ft_media_server::reliability::{CatastropheRule, MonteCarlo};
 use ft_media_server::sim::{
-    run_batch_seeded, AdmissionPolicy, ArrivalProcess, DataMode, SessionEngine,
+    run_batch_seeded, AdmissionPolicy, ArrivalProcess, DataMode, SessionEngine, SessionStats,
 };
-use ft_media_server::telemetry::{jsonl, Level, Recorder};
+use ft_media_server::telemetry::{jsonl, EventKind, Level, Recorder};
 use ft_media_server::{Scheme, ServerBuilder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -64,17 +64,15 @@ fn montecarlo_jsonl_is_byte_identical_at_1_2_and_8_threads() {
 }
 
 /// A fan-out of session-engine runs (one per scheme, stochastic
-/// arrivals, VBR, abandonment) under a recorder, exported as JSONL.
-fn traced_workload_run(par: Parallelism) -> Vec<u8> {
-    let recorder = Recorder::new(Level::Debug);
-    let guard = recorder.install();
+/// arrivals, VBR, abandonment), returning each run's session counters.
+fn session_grid(par: Parallelism) -> Vec<SessionStats> {
     let grid: Vec<(Scheme, f64)> = vec![
         (Scheme::StreamingRaid, 2.0),
         (Scheme::StaggeredGroup, 0.6),
         (Scheme::NonClustered, 0.6),
         (Scheme::ImprovedBandwidth, 2.0),
     ];
-    let offered = run_batch_seeded(
+    run_batch_seeded(
         par,
         &mut StdRng::seed_from_u64(7),
         &grid,
@@ -96,8 +94,7 @@ fn traced_workload_run(par: Parallelism) -> Vec<u8> {
                 .data_mode(DataMode::MetadataOnly)
                 .build()
                 .expect("server builds");
-            let cfg = server.cycle_config();
-            let nominal = 80u64.div_ceil(cfg.k as u64) * cfg.read_period() as u64;
+            let nominal = server.cycle_config().session_cycles(80);
             let mut engine = SessionEngine::new(
                 vec![(ObjectId(0), nominal)],
                 0.271,
@@ -109,10 +106,17 @@ fn traced_workload_run(par: Parallelism) -> Vec<u8> {
             server
                 .run_sessions(120, &mut engine, &mut rng)
                 .expect("run");
-            engine.stats().offered
+            engine.stats().clone()
         },
-    );
-    assert!(offered.iter().sum::<u64>() > 100, "workload barely ran");
+    )
+}
+
+/// [`session_grid`] under a recorder, exported as JSONL.
+fn traced_workload_run(par: Parallelism) -> Vec<u8> {
+    let recorder = Recorder::new(Level::Debug);
+    let guard = recorder.install();
+    let offered: u64 = session_grid(par).iter().map(|s| s.offered).sum();
+    assert!(offered > 100, "workload barely ran");
     drop(guard);
 
     let mut out = Vec::new();
@@ -129,6 +133,42 @@ fn workload_jsonl_is_byte_identical_at_1_2_and_8_threads() {
             seq,
             traced_workload_run(Parallelism::threads(threads)),
             "{threads}-thread workload JSONL diverged from 1-thread"
+        );
+    }
+}
+
+#[test]
+fn engine_sessions_leave_admit_and_release_events() {
+    // Sessions the engine admits and ends early anchor their causal
+    // timeline exactly as direct `admit`/`release` calls do: one Info
+    // "admit" per admission, one "release" per early release.
+    for threads in [1, 2, 8] {
+        let recorder = Recorder::new(Level::Info);
+        let guard = recorder.install();
+        let stats = session_grid(Parallelism::threads(threads));
+        drop(guard);
+        let events = recorder.take_events();
+        let count = |name: &str| {
+            events
+                .iter()
+                .filter(|e| e.kind == EventKind::Event && e.name == name)
+                .count() as u64
+        };
+        let admitted: u64 = stats.iter().map(|s| s.admitted).sum();
+        let released: u64 = stats.iter().map(|s| s.released_early).sum();
+        assert!(
+            released > 0,
+            "{threads} threads: abandonment must end sessions early"
+        );
+        assert_eq!(count("admit"), admitted, "{threads} threads");
+        assert_eq!(count("release"), released, "{threads} threads");
+        let fields = ["cycle", "stream", "object", "scheme"];
+        assert!(
+            events
+                .iter()
+                .filter(|e| e.name == "admit")
+                .all(|e| fields.iter().all(|f| e.field(f).is_some())),
+            "{threads} threads: admit events carry the simulator's fields"
         );
     }
 }
