@@ -5,13 +5,14 @@
 //! paper's one-hour MTTR worth of cycles) on the unprotected baseline and
 //! on all four schemes; hiccups per viewer-hour tell the story.
 
+use mms_bench::bench_server;
 use mms_server::disk::{DiskId, DiskParams};
 use mms_server::layout::{
     BandwidthClass, Catalog, ClusteredLayout, Geometry, MediaObject, ObjectId,
 };
 use mms_server::sched::{BaselineScheduler, CycleConfig};
 use mms_server::sim::{DataMode, FailureEvent, ObjectDirectory, Simulator};
-use mms_server::{Scheme, ServerBuilder};
+use mms_server::Scheme;
 
 const TRACKS: u64 = 2_000;
 const FAIL_AT: u64 = 100;
@@ -60,23 +61,7 @@ fn baseline_run() -> (u64, u64) {
 }
 
 fn scheme_run(scheme: Scheme) -> (u64, u64) {
-    let disks = if scheme == Scheme::ImprovedBandwidth {
-        8
-    } else {
-        10
-    };
-    let mut server = ServerBuilder::new(scheme)
-        .disks(disks)
-        .parity_group(5)
-        .object(MediaObject::new(
-            ObjectId(0),
-            "m",
-            TRACKS,
-            BandwidthClass::Mpeg1,
-        ))
-        .data_mode(DataMode::MetadataOnly)
-        .build()
-        .unwrap();
+    let mut server = bench_server(scheme, 1, TRACKS);
     // Normalize to the baseline's wall clock: its cycle is B/b0; SR and
     // IB cycles are (C−1)x longer, so they run proportionally fewer
     // cycles and the failure window lands at the same simulated time.

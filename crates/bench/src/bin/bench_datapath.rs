@@ -22,6 +22,7 @@
 //! `--quick` shrinks every workload to a smoke-test size (used by CI to
 //! prove the bin runs); the committed JSON comes from a full run.
 
+use mms_bench::harness::{parse_args, timed, write_json, Obj};
 use mms_server::disk::DiskId;
 use mms_server::layout::{BandwidthClass, BlockAddr, MediaObject, ObjectId};
 use mms_server::parity::xor_slices;
@@ -31,7 +32,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 /// System allocator with an allocation counter: every `alloc`/`realloc`
 /// bumps [`ALLOC_COUNT`], so a section's heap traffic is the difference
@@ -77,111 +77,104 @@ fn xor_scalar_reference(dst: &mut [u8], src: &[u8]) {
     }
 }
 
-struct XorResult {
-    passes: usize,
-    scalar_mb_per_s: f64,
-    wordwise_mb_per_s: f64,
-    speedup: f64,
-}
-
-fn bench_xor(quick: bool) -> XorResult {
+fn bench_xor(quick: bool) -> Obj {
     let passes = if quick { 64 } else { 4096 };
     let mut dst = vec![0xA5u8; TRACK_BYTES];
     let src: Vec<u8> = (0..TRACK_BYTES).map(|i| (i * 131) as u8).collect();
     let mb = (passes * TRACK_BYTES) as f64 / 1e6;
 
-    #[allow(clippy::disallowed_methods)] // benchmark timing is wall-clock by definition
-    let start = Instant::now();
-    for _ in 0..passes {
-        xor_scalar_reference(&mut dst, &src);
-    }
-    let scalar_mb_per_s = mb / start.elapsed().as_secs_f64();
+    let ((), scalar_secs) = timed(|| {
+        for _ in 0..passes {
+            xor_scalar_reference(&mut dst, &src);
+        }
+    });
+    let scalar_mb_per_s = mb / scalar_secs;
     black_box(&dst);
 
-    #[allow(clippy::disallowed_methods)] // benchmark timing is wall-clock by definition
-    let start = Instant::now();
-    for _ in 0..passes {
-        xor_slices(&mut dst, &src);
-    }
-    let wordwise_mb_per_s = mb / start.elapsed().as_secs_f64();
+    let ((), wordwise_secs) = timed(|| {
+        for _ in 0..passes {
+            xor_slices(&mut dst, &src);
+        }
+    });
+    let wordwise_mb_per_s = mb / wordwise_secs;
     black_box(&dst);
 
-    XorResult {
-        passes,
-        scalar_mb_per_s,
-        wordwise_mb_per_s,
-        speedup: wordwise_mb_per_s / scalar_mb_per_s,
-    }
-}
-
-struct DeliveryResult {
-    deliveries: usize,
-    legacy_per_s: f64,
-    legacy_allocs_per: f64,
-    streaming_per_s: f64,
-    streaming_allocs_per: f64,
+    let speedup = wordwise_mb_per_s / scalar_mb_per_s;
+    println!(
+        "xor kernel        scalar {scalar_mb_per_s:>8.1} MB/s  wordwise {wordwise_mb_per_s:>8.1} MB/s  \
+         speedup {speedup:.1}x"
+    );
+    Obj::block()
+        .field("passes", passes)
+        .fixed("scalar_mb_per_s", scalar_mb_per_s, 1)
+        .fixed("wordwise_mb_per_s", wordwise_mb_per_s, 1)
+        .fixed("speedup", speedup, 2)
 }
 
 /// Degraded-mode verified deliveries: every delivery reconstructs data
 /// block `i % (C−1)` of a rotating group, then confirms it against the
 /// stored original — the legacy path by materializing the whole group,
 /// the streaming path through pooled scratch.
-fn bench_deliveries(quick: bool) -> DeliveryResult {
-    let deliveries = if quick { 32 } else { 2000 };
+fn bench_deliveries(quick: bool) -> Obj {
+    let deliveries: usize = if quick { 32 } else { 2000 };
     let object = ObjectId(7);
     let tracks: u64 = 4096;
     let bpg = (GROUP_C - 1) as u32;
     let groups = tracks / u64::from(bpg);
     let mut oracle = BlockOracle::new(BTreeMap::from([(object, tracks)]), bpg, TRACK_BYTES);
 
-    #[allow(clippy::disallowed_methods)] // benchmark timing is wall-clock by definition
-    let start = Instant::now();
-    let allocs_before = allocations();
-    for i in 0..deliveries {
-        let group = (i as u64 * 17) % groups;
-        let ix = (i as u32) % bpg;
-        let expected = oracle.block(BlockAddr::data(object, group, ix));
-        let produced = oracle.reconstruct_and_check(object, group, ix);
-        assert_eq!(produced, expected, "legacy path must round-trip");
-    }
-    let legacy_allocs = allocations() - allocs_before;
-    let legacy_secs = start.elapsed().as_secs_f64();
+    let (legacy_allocs, legacy_secs) = timed(|| {
+        let allocs_before = allocations();
+        for i in 0..deliveries {
+            let group = (i as u64 * 17) % groups;
+            let ix = (i as u32) % bpg;
+            let expected = oracle.block(BlockAddr::data(object, group, ix));
+            let produced = oracle.reconstruct_and_check(object, group, ix);
+            assert_eq!(produced, expected, "legacy path must round-trip");
+        }
+        allocations() - allocs_before
+    });
 
     // Warm the pool and fingerprint cache, then measure the steady state.
     for i in 0..4u64 {
         oracle.verify_delivery(BlockAddr::data(object, i % groups, 0), true);
     }
-    #[allow(clippy::disallowed_methods)] // benchmark timing is wall-clock by definition
-    let start = Instant::now();
-    let allocs_before = allocations();
-    for i in 0..deliveries {
-        let group = (i as u64 * 17) % groups;
-        let ix = (i as u32) % bpg;
-        oracle.verify_delivery(BlockAddr::data(object, group, ix), true);
-    }
-    let streaming_allocs = allocations() - allocs_before;
-    let streaming_secs = start.elapsed().as_secs_f64();
+    let (streaming_allocs, streaming_secs) = timed(|| {
+        let allocs_before = allocations();
+        for i in 0..deliveries {
+            let group = (i as u64 * 17) % groups;
+            let ix = (i as u32) % bpg;
+            oracle.verify_delivery(BlockAddr::data(object, group, ix), true);
+        }
+        allocations() - allocs_before
+    });
 
-    DeliveryResult {
-        deliveries,
-        legacy_per_s: deliveries as f64 / legacy_secs,
-        legacy_allocs_per: legacy_allocs as f64 / deliveries as f64,
-        streaming_per_s: deliveries as f64 / streaming_secs,
-        streaming_allocs_per: streaming_allocs as f64 / deliveries as f64,
-    }
-}
-
-struct SimResult {
-    cycles: u64,
-    allocs_per_cycle: f64,
+    let n = deliveries as f64;
+    let (legacy_per_s, legacy_allocs) = (n / legacy_secs, legacy_allocs as f64 / n);
+    let (streaming_per_s, streaming_allocs) = (n / streaming_secs, streaming_allocs as f64 / n);
+    println!(
+        "verified delivery legacy {legacy_per_s:>8.1}/s ({legacy_allocs:.1} allocs)  \
+         streaming {streaming_per_s:>8.1}/s ({streaming_allocs:.1} allocs)"
+    );
+    // A ratio degenerates (division by zero) precisely when the pooled
+    // path wins outright; the difference stays meaningful at 0.
+    let eliminated = legacy_allocs - streaming_allocs;
+    Obj::block()
+        .field("blocks_per_group", GROUP_C - 1)
+        .field("deliveries", deliveries)
+        .fixed("legacy_deliveries_per_s", legacy_per_s, 1)
+        .fixed("legacy_allocs_per_delivery", legacy_allocs, 2)
+        .fixed("streaming_deliveries_per_s", streaming_per_s, 1)
+        .fixed("streaming_allocs_per_delivery", streaming_allocs, 2)
+        .fixed("allocs_eliminated_per_delivery", eliminated, 2)
 }
 
 /// Steady-state allocations per cycle of a degraded Streaming-RAID run
 /// with verified synthetic content: four viewers stream one movie while
 /// one disk is down, so every cycle plans, reads, reconstructs, and
 /// verifies through the hoisted plan/load/pool storage.
-fn bench_sim_cycles(quick: bool) -> SimResult {
-    let (warmup, cycles) = if quick { (8, 16) } else { (64, 256) };
+fn bench_sim_cycles(quick: bool) -> Obj {
+    let (warmup, cycles): (u64, u64) = if quick { (8, 16) } else { (64, 256) };
     let object = ObjectId(0);
     let mut server = ServerBuilder::new(Scheme::StreamingRaid)
         .disks(10)
@@ -204,86 +197,25 @@ fn bench_sim_cycles(quick: bool) -> SimResult {
     for _ in 0..cycles {
         server.step().expect("cycle");
     }
-    let allocs = allocations() - allocs_before;
-    SimResult {
-        cycles,
-        allocs_per_cycle: allocs as f64 / cycles as f64,
-    }
+    let allocs_per_cycle = (allocations() - allocs_before) as f64 / cycles as f64;
+    println!(
+        "simulator         {allocs_per_cycle:.1} allocs/cycle over {cycles} degraded SR cycles"
+    );
+    Obj::block()
+        .field("scheme", "sr")
+        .field("degraded", true)
+        .field("cycles", cycles)
+        .fixed("allocs_per_cycle", allocs_per_cycle, 2)
 }
 
 fn main() {
-    let mut out_path = String::from("BENCH_datapath.json");
-    let mut quick = false;
-    for arg in std::env::args().skip(1) {
-        if arg == "--quick" {
-            quick = true;
-        } else {
-            out_path = arg;
-        }
-    }
-
-    let xor = bench_xor(quick);
-    println!(
-        "xor kernel        scalar {:>8.1} MB/s  wordwise {:>8.1} MB/s  speedup {:.1}x",
-        xor.scalar_mb_per_s, xor.wordwise_mb_per_s, xor.speedup
-    );
-
-    let del = bench_deliveries(quick);
-    println!(
-        "verified delivery legacy {:>8.1}/s ({:.1} allocs)  streaming {:>8.1}/s ({:.1} allocs)",
-        del.legacy_per_s, del.legacy_allocs_per, del.streaming_per_s, del.streaming_allocs_per
-    );
-
-    let sim = bench_sim_cycles(quick);
-    println!(
-        "simulator         {:.1} allocs/cycle over {} degraded SR cycles",
-        sim.allocs_per_cycle, sim.cycles
-    );
-
-    // A ratio degenerates (division by zero) precisely when the pooled
-    // path wins outright; the difference stays meaningful at 0.
-    let allocs_eliminated = del.legacy_allocs_per - del.streaming_allocs_per;
-    let json = format!(
-        "{{\n\
-         \x20 \"quick\": {quick},\n\
-         \x20 \"track_bytes\": {TRACK_BYTES},\n\
-         \x20 \"xor_kernel\": {{\n\
-         \x20   \"passes\": {passes},\n\
-         \x20   \"scalar_mb_per_s\": {scalar:.1},\n\
-         \x20   \"wordwise_mb_per_s\": {word:.1},\n\
-         \x20   \"speedup\": {speedup:.2}\n\
-         \x20 }},\n\
-         \x20 \"verified_delivery\": {{\n\
-         \x20   \"blocks_per_group\": {bpg},\n\
-         \x20   \"deliveries\": {deliveries},\n\
-         \x20   \"legacy_deliveries_per_s\": {lps:.1},\n\
-         \x20   \"legacy_allocs_per_delivery\": {lal:.2},\n\
-         \x20   \"streaming_deliveries_per_s\": {sps:.1},\n\
-         \x20   \"streaming_allocs_per_delivery\": {sal:.2},\n\
-         \x20   \"allocs_eliminated_per_delivery\": {red:.2}\n\
-         \x20 }},\n\
-         \x20 \"simulator\": {{\n\
-         \x20   \"scheme\": \"sr\",\n\
-         \x20   \"degraded\": true,\n\
-         \x20   \"cycles\": {cycles},\n\
-         \x20   \"allocs_per_cycle\": {apc:.2}\n\
-         \x20 }}\n\
-         }}\n",
-        quick = quick,
-        passes = xor.passes,
-        scalar = xor.scalar_mb_per_s,
-        word = xor.wordwise_mb_per_s,
-        speedup = xor.speedup,
-        bpg = GROUP_C - 1,
-        deliveries = del.deliveries,
-        lps = del.legacy_per_s,
-        lal = del.legacy_allocs_per,
-        sps = del.streaming_per_s,
-        sal = del.streaming_allocs_per,
-        red = allocs_eliminated,
-        cycles = sim.cycles,
-        apc = sim.allocs_per_cycle,
-    );
-    std::fs::write(&out_path, &json).expect("write benchmark json");
-    println!("\nwrote {out_path}");
+    let (out, quick) = parse_args("BENCH_datapath.json");
+    let doc = Obj::block()
+        .field("quick", quick)
+        .field("track_bytes", TRACK_BYTES)
+        .field("xor_kernel", bench_xor(quick))
+        .field("verified_delivery", bench_deliveries(quick))
+        .field("simulator", bench_sim_cycles(quick));
+    println!();
+    write_json(&out, doc);
 }

@@ -20,11 +20,11 @@
 //!
 //! `--quick` shrinks the horizon and trial count for CI smoke runs.
 
+use mms_bench::harness::{parse_args, sweep, write_json, Json, Obj};
 use mms_fleet::{fleet_mttds, fleet_mttf, FleetBuilder, ShardReport, ShardedLoad};
 use mms_server::disk::{ReliabilityParams, Time};
 use mms_server::sim::{SplitMix64, StepMode};
 use mms_server::Parallelism;
-use std::time::Instant;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 const SEED: u64 = 1995;
@@ -42,15 +42,14 @@ const NODE_MTTR_H: f64 = 100.0;
 
 /// Everything one pass produces; compared verbatim across thread
 /// counts (f64s via `to_bits`, so "identical" means identical).
-#[derive(Clone, PartialEq)]
+#[derive(PartialEq)]
 struct PassResult {
     report: ShardReport,
     mttf_bits: u64,
     mttds_bits: u64,
 }
 
-fn run_pass(threads: usize, cycles: u64, trials: usize) -> PassResult {
-    let par = Parallelism::threads(threads);
+fn run_pass(par: Parallelism, cycles: u64, trials: usize) -> PassResult {
     let mut fleet = FleetBuilder::new(NODES)
         .catalog(MOVIES, TRACKS)
         .step_mode(StepMode::EventHorizon)
@@ -81,13 +80,7 @@ fn run_pass(threads: usize, cycles: u64, trials: usize) -> PassResult {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_fleet.json".into());
+    let (out, quick) = parse_args("BENCH_fleet.json");
     // ~30 sessions/cycle at this geometry: 50k cycles offers ~1.5M.
     let cycles: u64 = if quick { 1_500 } else { 50_000 };
     let trials: usize = if quick { 50 } else { 2_000 };
@@ -96,21 +89,15 @@ fn main() {
          {cycles} cycles, {trials} Monte-Carlo trials"
     );
 
-    let mut runs: Vec<(usize, f64, PassResult)> = Vec::new();
-    for threads in THREAD_COUNTS {
-        #[allow(clippy::disallowed_methods)] // benchmark timing is wall-clock by definition
-        let start = Instant::now();
-        let pass = run_pass(threads, cycles, trials);
-        let secs = start.elapsed().as_secs_f64();
+    let runs = sweep(&THREAD_COUNTS, 1, |par| run_pass(par, cycles, trials));
+    let pass = &runs.result;
+    let (r, bit_identical) = (pass.report, runs.bit_identical);
+    for (threads, secs) in &runs.seconds {
         println!(
             "{threads} thread(s): {secs:.2}s, {} session(s) offered",
-            pass.report.offered
+            r.offered
         );
-        runs.push((threads, secs, pass));
     }
-    let bit_identical = runs.iter().all(|(_, _, p)| *p == runs[0].2);
-    let pass = &runs[0].2;
-    let r = pass.report;
     let mttf_h = f64::from_bits(pass.mttf_bits);
     let mttds_h = f64::from_bits(pass.mttds_bits);
     println!("sessions offered  : {}", r.offered);
@@ -118,50 +105,45 @@ fn main() {
     println!("fleet MTTDS       : {mttds_h:.1} h (control-plane quorum loss)");
     println!("bit-identical across {THREAD_COUNTS:?} threads: {bit_identical}");
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!("  \"seed\": {SEED},\n"));
-    json.push_str(&format!("  \"nodes\": {NODES},\n"));
-    json.push_str(&format!(
-        "  \"catalog\": \"{MOVIES} movies x {TRACKS} tracks, chained declustering\",\n"
-    ));
-    json.push_str(&format!("  \"cycles\": {cycles},\n"));
-    json.push_str(&format!("  \"load\": {LOAD},\n"));
-    json.push_str(&format!("  \"thread_counts\": {THREAD_COUNTS:?},\n"));
-    json.push_str(&format!("  \"bit_identical\": {bit_identical},\n"));
-    json.push_str("  \"seconds_per_pass\": {");
-    json.push_str(
-        &runs
-            .iter()
-            .map(|(t, s, _)| format!("\"{t}\": {s:.2}"))
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    json.push_str("},\n");
-    json.push_str("  \"sessions\": {\n");
-    json.push_str(&format!("    \"offered\": {},\n", r.offered));
-    json.push_str(&format!("    \"admitted\": {},\n", r.admitted));
-    json.push_str(&format!("    \"rejected\": {},\n", r.rejected));
-    json.push_str(&format!("    \"balked\": {},\n", r.balked));
-    json.push_str(&format!("    \"released_early\": {},\n", r.released_early));
-    json.push_str(&format!("    \"delivered_tracks\": {},\n", r.delivered));
-    json.push_str(&format!("    \"hiccups\": {}\n", r.hiccups));
-    json.push_str("  },\n");
-    json.push_str("  \"reliability\": {\n");
-    json.push_str(&format!("    \"node_mttf_hours\": {NODE_MTTF_H},\n"));
-    json.push_str(&format!("    \"node_mttr_hours\": {NODE_MTTR_H},\n"));
-    json.push_str(&format!("    \"trials\": {trials},\n"));
-    json.push_str(&format!(
-        "    \"fleet_mttf_hours\": {mttf_h:.1},\n    \"fleet_mttds_hours\": {mttds_h:.1}\n"
-    ));
-    json.push_str("  },\n");
-    json.push_str(
-        "  \"note\": \"one fleet-wide pass; MTTF = adjacent node pair fatal (chained \
-         declustering), MTTDS = ceil(N/2) concurrent node failures stall the control plane\"\n",
-    );
-    json.push_str("}\n");
-    std::fs::write(&out_path, &json).expect("write benchmark json");
-    println!("wrote {out_path}");
+    let doc = Obj::block()
+        .field("quick", quick)
+        .field("seed", SEED)
+        .field("nodes", NODES)
+        .field(
+            "catalog",
+            format!("{MOVIES} movies x {TRACKS} tracks, chained declustering"),
+        )
+        .field("cycles", cycles)
+        .field("load", LOAD)
+        .field("thread_counts", Json::list(THREAD_COUNTS))
+        .field("bit_identical", bit_identical)
+        .field("seconds_per_pass", runs.seconds_json(2))
+        .field(
+            "sessions",
+            Obj::block()
+                .field("offered", r.offered)
+                .field("admitted", r.admitted)
+                .field("rejected", r.rejected)
+                .field("balked", r.balked)
+                .field("released_early", r.released_early)
+                .field("delivered_tracks", r.delivered)
+                .field("hiccups", r.hiccups),
+        )
+        .field(
+            "reliability",
+            Obj::block()
+                .field("node_mttf_hours", NODE_MTTF_H)
+                .field("node_mttr_hours", NODE_MTTR_H)
+                .field("trials", trials)
+                .fixed("fleet_mttf_hours", mttf_h, 1)
+                .fixed("fleet_mttds_hours", mttds_h, 1),
+        )
+        .field(
+            "note",
+            "one fleet-wide pass; MTTF = adjacent node pair fatal (chained declustering), \
+             MTTDS = ceil(N/2) concurrent node failures stall the control plane",
+        );
+    write_json(&out, doc);
     if !quick {
         assert!(
             r.offered >= 1_000_000,

@@ -11,82 +11,56 @@
 //!   host runs the bin (`host_cores` records how many cores that was —
 //!   speedups are only expected when it exceeds 1).
 //!
-//! Usage: `bench_parallel [output.json] [mc_trials]`
+//! Usage: `bench_parallel [output.json] [--quick]`
+//!
+//! `--quick` runs 8 Monte-Carlo trials instead of 48 for CI smoke runs.
 
+use mms_bench::harness::{host_cores, parse_args, sweep, write_json, Json, Obj, Sweep};
 use mms_bench::nc_transition_losses;
 use mms_server::analysis::{design_space_par, CostModel, SchemeParams, SystemParams};
 use mms_server::disk::ReliabilityParams;
 use mms_server::reliability::{CatastropheRule, MonteCarlo};
 use mms_server::sched::TransitionPolicy;
 use mms_server::sim::run_batch;
-use mms_server::Parallelism;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// Wall-clock seconds for `f` (median of three runs), plus a digest of
-/// its result for the bit-identity check.
-fn measure<F: FnMut() -> u64>(mut f: F) -> (f64, u64) {
-    let mut digest = 0;
-    let mut times: Vec<f64> = (0..3)
-        .map(|_| {
-            #[allow(clippy::disallowed_methods)] // benchmark timing is wall-clock by definition
-            let start = Instant::now();
-            digest = f();
-            start.elapsed().as_secs_f64()
-        })
+/// Print a workload's sweep and render its row of `workloads`.
+fn workload_json(name: &str, detail: String, runs: &Sweep<u64>) -> Obj {
+    let times: Vec<String> = runs
+        .seconds
+        .iter()
+        .map(|(t, s)| format!("{t}T {s:.3}s"))
         .collect();
-    times.sort_by(f64::total_cmp);
-    (times[1], digest)
-}
-
-struct Workload {
-    name: &'static str,
-    detail: String,
-    seconds: Vec<(usize, f64)>,
-    bit_identical: bool,
-}
-
-fn bench_workload<F: FnMut(Parallelism) -> u64>(
-    name: &'static str,
-    detail: String,
-    mut job: F,
-) -> Workload {
-    let mut seconds = Vec::new();
-    let mut digests = Vec::new();
-    for threads in THREAD_COUNTS {
-        let (secs, digest) = measure(|| job(Parallelism::threads(threads)));
-        seconds.push((threads, secs));
-        digests.push(digest);
-    }
-    let bit_identical = digests.iter().all(|&d| d == digests[0]);
     println!(
-        "{name:<24} {}  bit-identical: {bit_identical}",
-        seconds
-            .iter()
-            .map(|(t, s)| format!("{t}T {s:.3}s"))
-            .collect::<Vec<_>>()
-            .join("  ")
+        "{name:<24} {}  bit-identical: {}",
+        times.join("  "),
+        runs.bit_identical
     );
-    Workload {
-        name,
-        detail,
-        seconds,
-        bit_identical,
-    }
+    let t1 = runs.seconds[0].1;
+    let best = runs.seconds.iter().map(|&(_, s)| s).fold(t1, f64::min);
+    Obj::block()
+        .field("detail", detail)
+        .field("seconds", runs.seconds_json(4))
+        .fixed("speedup_best", if best > 0.0 { t1 / best } else { 1.0 }, 2)
+        .field("bit_identical", runs.bit_identical)
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let out_path = args.next().unwrap_or_else(|| "BENCH_parallel.json".into());
-    let mc_trials: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(48);
+    let (out, quick) = parse_args("BENCH_parallel.json");
+    let mc_trials: usize = if quick { 8 } else { 48 };
 
-    let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let host_cores = host_cores();
     println!("host cores: {host_cores}; measuring at {THREAD_COUNTS:?} threads\n");
 
-    let mut workloads = Vec::new();
+    let mut workloads = Obj::block();
+    let mut all_identical = true;
+    let mut record = |name: &str, detail: String, runs: Sweep<u64>| {
+        all_identical &= runs.bit_identical;
+        workloads.push(name, workload_json(name, detail, &runs));
+    };
 
     // 1. Monte-Carlo reliability at paper scale: D = 1000, C = 10, real
     //    lifetimes — the dominant compute in the reliability pipeline.
@@ -95,24 +69,24 @@ fn main() {
         rel: ReliabilityParams::paper(),
         rule: CatastropheRule::SameCluster { c: 10 },
     };
-    workloads.push(bench_workload(
+    record(
         "montecarlo_mttf",
         format!("D=1000 C=10 same-cluster rule, {mc_trials} trials, seed 1995"),
-        |par| {
+        sweep(&THREAD_COUNTS, 3, |par| {
             let stats = mc.run_par(&mut StdRng::seed_from_u64(1995), mc_trials, par);
             stats.mean.as_secs().to_bits() ^ stats.std_error.as_secs().to_bits()
-        },
-    ));
+        }),
+    );
 
     // 2. The design-space sweep. One sweep is microseconds, so time a
     //    thousand of them; the digest folds every field of every point.
     let sys = SystemParams::paper_table1();
     let model = CostModel::paper_fig9();
     const SWEEP_REPS: usize = 1000;
-    workloads.push(bench_workload(
+    record(
         "design_space_sweep",
         format!("C in 2..=10 x 4 schemes, {SWEEP_REPS} repetitions"),
-        |par| {
+        sweep(&THREAD_COUNTS, 3, |par| {
             let mut digest = 0u64;
             for _ in 0..SWEEP_REPS {
                 digest = design_space_par(&sys, &model, 2..=10, SchemeParams::paper_fig9, par)
@@ -122,8 +96,8 @@ fn main() {
                     });
             }
             digest
-        },
-    ));
+        }),
+    );
 
     // 3. A batch simulation grid: the Non-clustered transition ablation
     //    (every C x failed-disk x policy cell is an independent
@@ -138,66 +112,36 @@ fn main() {
             })
         })
         .collect();
-    workloads.push(bench_workload(
+    record(
         "sim_batch_ablation",
         format!("NC transition grid, {} scheduler runs", grid.len()),
-        |par| {
+        sweep(&THREAD_COUNTS, 3, |par| {
             run_batch(par, &grid, |&(c, f, policy)| {
                 nc_transition_losses(c, f, policy) as u64
             })
             .iter()
             .fold(0u64, |acc, &l| acc.rotate_left(9) ^ l)
-        },
-    ));
+        }),
+    );
 
-    let all_identical = workloads.iter().all(|w| w.bit_identical);
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"host_cores\": {host_cores},\n"));
-    json.push_str(&format!("  \"thread_counts\": {THREAD_COUNTS:?},\n"));
-    json.push_str(&format!("  \"all_bit_identical\": {all_identical},\n"));
-    json.push_str(&format!(
-        "  \"note\": \"wall-clock medians of 3 runs; speedup = seconds at 1 thread / best; \
-         parallel speedup requires host_cores > 1{}\",\n",
+    let note = format!(
+        "wall-clock medians of 3 runs; speedup = seconds at 1 thread / best; \
+         parallel speedup requires host_cores > 1{}",
         if host_cores == 1 {
             " — this run used a 1-core host, so the timings document determinism and pool \
              overhead, not speedup"
         } else {
             ""
         }
-    ));
-    json.push_str("  \"workloads\": {\n");
-    for (i, w) in workloads.iter().enumerate() {
-        let t1 = w.seconds[0].1;
-        let best = w
-            .seconds
-            .iter()
-            .map(|&(_, s)| s)
-            .fold(f64::INFINITY, f64::min);
-        json.push_str(&format!("    \"{}\": {{\n", w.name));
-        json.push_str(&format!("      \"detail\": \"{}\",\n", w.detail));
-        json.push_str("      \"seconds\": {");
-        json.push_str(
-            &w.seconds
-                .iter()
-                .map(|(t, s)| format!("\"{t}\": {s:.4}"))
-                .collect::<Vec<_>>()
-                .join(", "),
-        );
-        json.push_str("},\n");
-        json.push_str(&format!(
-            "      \"speedup_best\": {:.2},\n",
-            if best > 0.0 { t1 / best } else { 1.0 }
-        ));
-        json.push_str(&format!("      \"bit_identical\": {}\n", w.bit_identical));
-        json.push_str(if i + 1 == workloads.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    json.push_str("  }\n}\n");
-    std::fs::write(&out_path, &json).expect("write benchmark json");
-    println!("\nwrote {out_path}");
+    );
+    let doc = Obj::block()
+        .field("host_cores", host_cores)
+        .field("thread_counts", Json::list(THREAD_COUNTS))
+        .field("all_bit_identical", all_identical)
+        .field("note", note)
+        .field("workloads", workloads);
+    println!();
+    write_json(&out, doc);
     assert!(
         all_identical,
         "determinism contract violated: results differ across thread counts"

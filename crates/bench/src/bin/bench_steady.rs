@@ -28,19 +28,14 @@
 //! assertion (sub-second cells are timing noise); the equality
 //! assertions always run.
 
-use mms_server::layout::{BandwidthClass, MediaObject, ObjectId};
-use mms_server::sim::{AdmissionPolicy, ArrivalProcess, DataMode, SessionEngine, StepMode};
-use mms_server::{MultimediaServer, Scheme, ServerBuilder};
+use mms_bench::bench_server;
+use mms_bench::harness::{host_cores, parse_args, timed, write_json, Json, Obj};
+use mms_server::layout::ObjectId;
+use mms_server::sim::{AdmissionPolicy, ArrivalProcess, SessionEngine, StepMode};
+use mms_server::{MultimediaServer, Scheme};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
 
-const SCHEMES: [(Scheme, &str); 4] = [
-    (Scheme::StreamingRaid, "SR"),
-    (Scheme::StaggeredGroup, "SG"),
-    (Scheme::NonClustered, "NC"),
-    (Scheme::ImprovedBandwidth, "IB"),
-];
 /// Steady-state population as a fraction of each scheme's capacity,
 /// paired with the arrival rate used for the churn measurement.
 const LOADS: [(f64, f64); 3] = [(0.3, 0.02), (0.6, 0.05), (0.9, 0.10)];
@@ -51,27 +46,6 @@ const MOVIES: usize = 8;
 /// free capacity); the steady cells use objects long enough that no
 /// stream finishes inside the horizon.
 const TRACKS: u64 = 200;
-
-fn build(scheme: Scheme, movies: usize, tracks: u64) -> MultimediaServer {
-    let disks = if scheme == Scheme::ImprovedBandwidth {
-        8
-    } else {
-        10
-    };
-    let mut builder = ServerBuilder::new(scheme)
-        .disks(disks)
-        .parity_group(5)
-        .data_mode(DataMode::MetadataOnly);
-    for m in 0..movies {
-        builder = builder.object(MediaObject::new(
-            ObjectId(m as u64),
-            format!("movie-{m}"),
-            tracks,
-            BandwidthClass::Mpeg1,
-        ));
-    }
-    builder.build().expect("bench cell builds")
-}
 
 /// What a run computed, independent of how fast it computed it.
 #[derive(PartialEq, Debug)]
@@ -102,9 +76,9 @@ fn run_steady(scheme: Scheme, load: f64, cycles: u64, mode: StepMode) -> (Outcom
     // One movie, sized from the scheme's own cycle geometry so that no
     // stream finishes inside the horizon: a stream consumes `k` data
     // tracks every `read_period` cycles.
-    let cfg = *build(scheme, 1, 1).cycle_config();
+    let cfg = *bench_server(scheme, 1, 1).cycle_config();
     let tracks = cfg.k as u64 * (cycles / cfg.read_period() as u64 + 2);
-    let mut server = build(scheme, 1, tracks);
+    let mut server = bench_server(scheme, 1, tracks);
     server.set_step_mode(mode);
     let target = ((server.stream_capacity() as f64 * load) as usize).max(1);
     let objects: Vec<ObjectId> = server.objects().to_vec();
@@ -116,16 +90,13 @@ fn run_steady(scheme: Scheme, load: f64, cycles: u64, mode: StepMode) -> (Outcom
             break;
         }
     }
-    #[allow(clippy::disallowed_methods)] // benchmark timing is wall-clock by definition
-    let start = Instant::now();
-    server.run(cycles).expect("steady run");
-    let secs = start.elapsed().as_secs_f64();
+    let ((), secs) = timed(|| server.run(cycles).expect("steady run"));
     (outcome(&server, 0), secs)
 }
 
 /// Churn run: Poisson arrivals over a Zipf catalog of finite movies.
 fn run_sessions(scheme: Scheme, rate: f64, cycles: u64, mode: StepMode) -> (Outcome, f64) {
-    let mut server = build(scheme, MOVIES, TRACKS);
+    let mut server = bench_server(scheme, MOVIES, TRACKS);
     server.set_step_mode(mode);
     let hold = server.cycle_config().session_cycles(TRACKS);
     let catalog = server.objects().iter().map(|&o| (o, hold)).collect();
@@ -136,128 +107,96 @@ fn run_sessions(scheme: Scheme, rate: f64, cycles: u64, mode: StepMode) -> (Outc
         AdmissionPolicy::Reject,
     );
     let mut rng = StdRng::seed_from_u64(SEED);
-    #[allow(clippy::disallowed_methods)] // benchmark timing is wall-clock by definition
-    let start = Instant::now();
-    server
-        .run_sessions(cycles, &mut engine, &mut rng)
-        .expect("churn run");
-    let secs = start.elapsed().as_secs_f64();
+    let ((), secs) = timed(|| {
+        server
+            .run_sessions(cycles, &mut engine, &mut rng)
+            .expect("churn run")
+    });
     (outcome(&server, engine.stats().rejected), secs)
 }
 
-struct Cell {
-    label: &'static str,
-    load: f64,
-    rate: f64,
-    steady_slow: f64,
-    steady_fast: f64,
-    sessions_slow: f64,
-    sessions_fast: f64,
-    finished: u64,
+/// Run `run` in both step modes and assert they computed the same
+/// outcome. Returns it with the (cycle-by-cycle, event-horizon) seconds.
+fn both_modes(what: &str, run: impl Fn(StepMode) -> (Outcome, f64)) -> (Outcome, (f64, f64)) {
+    let (slow, slow_secs) = run(StepMode::CycleByCycle);
+    let (fast, fast_secs) = run(StepMode::EventHorizon);
+    assert_eq!(slow, fast, "{what} outcomes diverged between step modes");
+    (fast, (slow_secs, fast_secs))
+}
+
+/// Measure one load point of `scheme` in both step modes, print it, and
+/// return its line of the scheme's array with the steady-state speedup.
+fn cell(scheme: Scheme, load: f64, rate: f64, cycles: u64) -> (Obj, f64) {
+    let label = scheme.abbrev();
+    let (_, steady) = both_modes(&format!("{label} load {load}: steady"), |mode| {
+        run_steady(scheme, load, cycles, mode)
+    });
+    let (churn_out, churn) = both_modes(&format!("{label} rate {rate}: churn"), |mode| {
+        run_sessions(scheme, rate, cycles, mode)
+    });
+    let per_sec = |secs: f64| cycles as f64 / secs;
+    println!(
+        "{label} load {load:.1}: steady {:.0} -> {:.0} cyc/s ({:.1}x), \
+         churn {:.0} -> {:.0} cyc/s",
+        per_sec(steady.0),
+        per_sec(steady.1),
+        steady.0 / steady.1,
+        per_sec(churn.0),
+        per_sec(churn.1),
+    );
+    let modes = |(slow, fast): (f64, f64)| {
+        Obj::inline()
+            .fixed("cycle_by_cycle", per_sec(slow), 1)
+            .fixed("event_horizon", per_sec(fast), 1)
+            .fixed("speedup", slow / fast, 2)
+    };
+    let finished = churn_out.finished;
+    let row = Obj::inline()
+        .fixed("load", load, 2)
+        .field("steady_cycles_per_sec", modes(steady))
+        .fixed("churn_rate_per_cycle", rate, 2)
+        .fixed("quiescent_fraction", (-rate).exp(), 3)
+        .field("churn_cycles_per_sec", modes(churn))
+        .field(
+            "sessions_per_sec",
+            Obj::inline()
+                .fixed("cycle_by_cycle", finished as f64 / churn.0, 1)
+                .fixed("event_horizon", finished as f64 / churn.1, 1),
+        )
+        .field("sessions_finished", finished);
+    (row, steady.0 / steady.1)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_steady.json".into());
+    let (out, quick) = parse_args("BENCH_steady.json");
     let cycles: u64 = if quick { 1_500 } else { 20_000 };
-    let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
 
-    let mut cells: Vec<Cell> = Vec::new();
-    for (scheme, label) in SCHEMES {
+    let mut schemes = Obj::block();
+    let mut min_speedup = f64::INFINITY;
+    for scheme in Scheme::ALL {
+        let mut rows = Vec::new();
         for (load, rate) in LOADS {
-            let (slow_out, steady_slow) = run_steady(scheme, load, cycles, StepMode::CycleByCycle);
-            let (fast_out, steady_fast) = run_steady(scheme, load, cycles, StepMode::EventHorizon);
-            assert_eq!(
-                slow_out, fast_out,
-                "{label} load {load}: steady outcomes diverged between step modes"
-            );
-            let (slow_out, sessions_slow) =
-                run_sessions(scheme, rate, cycles, StepMode::CycleByCycle);
-            let (fast_out, sessions_fast) =
-                run_sessions(scheme, rate, cycles, StepMode::EventHorizon);
-            assert_eq!(
-                slow_out, fast_out,
-                "{label} rate {rate}: churn outcomes diverged between step modes"
-            );
-            println!(
-                "{label} load {load:.1}: steady {:.0} -> {:.0} cyc/s ({:.1}x), \
-                 churn {:.0} -> {:.0} cyc/s",
-                cycles as f64 / steady_slow,
-                cycles as f64 / steady_fast,
-                steady_slow / steady_fast,
-                cycles as f64 / sessions_slow,
-                cycles as f64 / sessions_fast,
-            );
-            cells.push(Cell {
-                label,
-                load,
-                rate,
-                steady_slow,
-                steady_fast,
-                sessions_slow,
-                sessions_fast,
-                finished: fast_out.finished,
-            });
+            let (row, speedup) = cell(scheme, load, rate, cycles);
+            min_speedup = min_speedup.min(speedup);
+            rows.push(row);
         }
+        schemes.push(scheme.abbrev(), Json::rows(rows));
     }
-
-    let min_speedup = cells
-        .iter()
-        .map(|c| c.steady_slow / c.steady_fast)
-        .fold(f64::INFINITY, f64::min);
     println!("minimum steady-state speedup across all cells: {min_speedup:.1}x");
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!("  \"seed\": {SEED},\n"));
-    json.push_str(&format!("  \"cycles_per_cell\": {cycles},\n"));
-    json.push_str(&format!("  \"host_cores\": {host_cores},\n"));
-    json.push_str(
-        "  \"note\": \"single-threaded wall-clock; both step modes of every cell are asserted \
-         observably identical before any speedup is reported\",\n",
-    );
-    json.push_str(&format!("  \"min_steady_speedup\": {min_speedup:.2},\n"));
-    json.push_str("  \"schemes\": {\n");
-    for (si, (_, label)) in SCHEMES.iter().enumerate() {
-        json.push_str(&format!("    \"{label}\": [\n"));
-        let points: Vec<&Cell> = cells.iter().filter(|c| c.label == *label).collect();
-        for (pi, c) in points.iter().enumerate() {
-            json.push_str(&format!(
-                "      {{\"load\": {:.2}, \"steady_cycles_per_sec\": {{\"cycle_by_cycle\": \
-                 {:.1}, \"event_horizon\": {:.1}, \"speedup\": {:.2}}}, \
-                 \"churn_rate_per_cycle\": {:.2}, \"quiescent_fraction\": {:.3}, \
-                 \"churn_cycles_per_sec\": {{\"cycle_by_cycle\": {:.1}, \"event_horizon\": \
-                 {:.1}, \"speedup\": {:.2}}}, \"sessions_per_sec\": {{\"cycle_by_cycle\": \
-                 {:.1}, \"event_horizon\": {:.1}}}, \"sessions_finished\": {}}}{}\n",
-                c.load,
-                cycles as f64 / c.steady_slow,
-                cycles as f64 / c.steady_fast,
-                c.steady_slow / c.steady_fast,
-                c.rate,
-                (-c.rate).exp(),
-                cycles as f64 / c.sessions_slow,
-                cycles as f64 / c.sessions_fast,
-                c.sessions_slow / c.sessions_fast,
-                c.finished as f64 / c.sessions_slow,
-                c.finished as f64 / c.sessions_fast,
-                c.finished,
-                if pi + 1 == points.len() { "" } else { "," }
-            ));
-        }
-        json.push_str(if si + 1 == SCHEMES.len() {
-            "    ]\n"
-        } else {
-            "    ],\n"
-        });
-    }
-    json.push_str("  }\n}\n");
-    std::fs::write(&out_path, &json).expect("write benchmark json");
-    println!("wrote {out_path}");
+    let doc = Obj::block()
+        .field("quick", quick)
+        .field("seed", SEED)
+        .field("cycles_per_cell", cycles)
+        .field("host_cores", host_cores())
+        .field(
+            "note",
+            "single-threaded wall-clock; both step modes of every cell are asserted \
+             observably identical before any speedup is reported",
+        )
+        .fixed("min_steady_speedup", min_speedup, 2)
+        .field("schemes", schemes);
+    write_json(&out, doc);
     if !quick {
         assert!(
             min_speedup >= 5.0,

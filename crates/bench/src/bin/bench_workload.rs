@@ -22,23 +22,17 @@
 //! horizon offers over a million sessions across the grid (a
 //! "million-session day").
 
+use mms_bench::bench_server;
+use mms_bench::harness::{parse_args, sweep, write_json, Json, Obj};
 use mms_server::disk::DiskId;
-use mms_server::layout::{BandwidthClass, MediaObject, ObjectId};
+use mms_server::layout::ObjectId;
 use mms_server::sim::{
-    run_batch_seeded, AdmissionPolicy, ArrivalProcess, DataMode, FailureEvent, SessionEngine,
-    StepMode,
+    run_batch_seeded, AdmissionPolicy, ArrivalProcess, FailureEvent, SessionEngine, StepMode,
 };
-use mms_server::{Parallelism, Scheme, ServerBuilder};
+use mms_server::Scheme;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
 
-const SCHEMES: [(Scheme, &str); 4] = [
-    (Scheme::StreamingRaid, "SR"),
-    (Scheme::StaggeredGroup, "SG"),
-    (Scheme::NonClustered, "NC"),
-    (Scheme::ImprovedBandwidth, "IB"),
-];
 /// Offered load as a fraction of each scheme's stream capacity; past 1.0
 /// the admission policy is what separates the schemes' viewer experience.
 const LOADS: [f64; 6] = [0.5, 0.7, 0.85, 1.0, 1.2, 1.5];
@@ -51,19 +45,16 @@ const ABANDON: f64 = 0.1;
 /// Mean-1 ladder: load targeting stays exact while holds still vary.
 const VBR_LADDER: [f64; 3] = [0.75, 1.0, 1.25];
 
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq)]
 struct Cell {
     scheme: Scheme,
-    label: &'static str,
     load: f64,
     degraded: bool,
 }
 
-#[derive(Clone, PartialEq)]
+#[derive(PartialEq)]
 struct CellResult {
-    label: &'static str,
-    load: f64,
-    degraded: bool,
+    cell: Cell,
     rate: f64,
     offered: u64,
     admitted: u64,
@@ -75,24 +66,7 @@ struct CellResult {
 }
 
 fn run_cell(cell: &Cell, mut rng: StdRng, cycles: u64) -> CellResult {
-    let disks = if cell.scheme == Scheme::ImprovedBandwidth {
-        8
-    } else {
-        10
-    };
-    let mut builder = ServerBuilder::new(cell.scheme)
-        .disks(disks)
-        .parity_group(5)
-        .data_mode(DataMode::MetadataOnly);
-    for m in 0..MOVIES {
-        builder = builder.object(MediaObject::new(
-            ObjectId(m as u64),
-            format!("movie-{m}"),
-            TRACKS,
-            BandwidthClass::Mpeg1,
-        ));
-    }
-    let mut server = builder.build().expect("grid cell builds");
+    let mut server = bench_server(cell.scheme, MOVIES, TRACKS);
     // The event-horizon fast path is observably identical to per-cycle
     // stepping (pinned by the equivalence suite), so the bench runs
     // with it on: arrival-free stretches between sessions fast-forward.
@@ -135,9 +109,7 @@ fn run_cell(cell: &Cell, mut rng: StdRng, cycles: u64) -> CellResult {
     let hiccups = m.total_hiccups();
     let scheduled = m.delivered + hiccups;
     CellResult {
-        label: cell.label,
-        load: cell.load,
-        degraded: cell.degraded,
+        cell: *cell,
         rate,
         offered: s.offered,
         admitted: s.admitted,
@@ -149,28 +121,40 @@ fn run_cell(cell: &Cell, mut rng: StdRng, cycles: u64) -> CellResult {
         } else {
             hiccups as f64 / scheduled as f64
         },
-        utilization: m.utilization(server.cycle_config().t_cyc(), disks),
+        utilization: m.utilization(
+            server.cycle_config().t_cyc(),
+            server.simulator().disks().len(),
+        ),
+    }
+}
+
+impl CellResult {
+    /// One line of the `normal` / `degraded` arrays.
+    fn json(&self) -> Obj {
+        Obj::inline()
+            .fixed("load", self.cell.load, 2)
+            .fixed("rate_per_cycle", self.rate, 4)
+            .field("offered", self.offered)
+            .field("admitted", self.admitted)
+            .fixed("blocking_rate", self.blocking_rate, 4)
+            .fixed("utilization", self.utilization, 4)
+            .fixed("stall_rate", self.stall_rate, 6)
+            .field("delivered", self.delivered)
+            .field("hiccups", self.hiccups)
     }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_workload.json".into());
+    let (out, quick) = parse_args("BENCH_workload.json");
     // 20k cycles/cell offers ~1.2M sessions over the 48-cell grid.
     let cycles: u64 = if quick { 300 } else { 20_000 };
 
-    let grid: Vec<Cell> = SCHEMES
+    let grid: Vec<Cell> = Scheme::ALL
         .into_iter()
-        .flat_map(|(scheme, label)| {
+        .flat_map(|scheme| {
             LOADS.into_iter().flat_map(move |load| {
                 [false, true].into_iter().map(move |degraded| Cell {
                     scheme,
-                    label,
                     load,
                     degraded,
                 })
@@ -180,94 +164,59 @@ fn main() {
     println!(
         "{} cells ({} schemes x {} loads x normal/degraded), {cycles} cycles each",
         grid.len(),
-        SCHEMES.len(),
+        Scheme::ALL.len(),
         LOADS.len()
     );
 
-    let mut runs: Vec<(usize, f64, Vec<CellResult>)> = Vec::new();
-    for threads in THREAD_COUNTS {
-        #[allow(clippy::disallowed_methods)] // benchmark timing is wall-clock by definition
-        let start = Instant::now();
-        let results = run_batch_seeded(
-            Parallelism::threads(threads),
-            &mut StdRng::seed_from_u64(SEED),
-            &grid,
-            |cell, rng| run_cell(cell, rng, cycles),
-        );
-        let secs = start.elapsed().as_secs_f64();
+    let runs = sweep(&THREAD_COUNTS, 1, |par| {
+        run_batch_seeded(par, &mut StdRng::seed_from_u64(SEED), &grid, |cell, rng| {
+            run_cell(cell, rng, cycles)
+        })
+    });
+    for (threads, secs) in &runs.seconds {
         println!("{threads} thread(s): {secs:.2}s");
-        runs.push((threads, secs, results));
     }
-    let bit_identical = runs.iter().all(|(_, _, r)| *r == runs[0].2);
-    let results = &runs[0].2;
+    let (results, bit_identical) = (&runs.result, runs.bit_identical);
     let offered_total: u64 = results.iter().map(|r| r.offered).sum();
     println!("sessions offered (per grid pass): {offered_total}");
     println!("bit-identical across {THREAD_COUNTS:?} threads: {bit_identical}");
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!("  \"seed\": {SEED},\n"));
-    json.push_str(&format!("  \"cycles_per_cell\": {cycles},\n"));
-    json.push_str(&format!(
-        "  \"catalog\": \"{MOVIES} movies x {TRACKS} tracks, Zipf theta {THETA}\",\n"
-    ));
-    json.push_str(&format!(
-        "  \"engine\": \"Poisson arrivals at load-matched rate, VBR ladder {VBR_LADDER:?}, \
-         abandonment {ABANDON}, Reject admission\",\n"
-    ));
-    json.push_str(&format!("  \"sessions_offered_total\": {offered_total},\n"));
-    json.push_str(&format!("  \"thread_counts\": {THREAD_COUNTS:?},\n"));
-    json.push_str(&format!("  \"bit_identical\": {bit_identical},\n"));
-    json.push_str("  \"seconds_per_pass\": {");
-    json.push_str(
-        &runs
-            .iter()
-            .map(|(t, s, _)| format!("\"{t}\": {s:.2}"))
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    json.push_str("},\n");
-    json.push_str(
-        "  \"note\": \"stall_rate = hiccups / (delivered + hiccups); utilization is the \
-         busy fraction of total disk-time; degraded = one disk failed at cycles/10\",\n",
-    );
-    json.push_str("  \"schemes\": {\n");
-    for (si, (_, label)) in SCHEMES.iter().enumerate() {
-        json.push_str(&format!("    \"{label}\": {{\n"));
-        for (mi, (mode, degraded)) in [("normal", false), ("degraded", true)].iter().enumerate() {
-            json.push_str(&format!("      \"{mode}\": [\n"));
-            let points: Vec<&CellResult> = results
-                .iter()
-                .filter(|r| r.label == *label && r.degraded == *degraded)
-                .collect();
-            for (pi, r) in points.iter().enumerate() {
-                json.push_str(&format!(
-                    "        {{\"load\": {:.2}, \"rate_per_cycle\": {:.4}, \"offered\": {}, \
-                     \"admitted\": {}, \"blocking_rate\": {:.4}, \"utilization\": {:.4}, \
-                     \"stall_rate\": {:.6}, \"delivered\": {}, \"hiccups\": {}}}{}\n",
-                    r.load,
-                    r.rate,
-                    r.offered,
-                    r.admitted,
-                    r.blocking_rate,
-                    r.utilization,
-                    r.stall_rate,
-                    r.delivered,
-                    r.hiccups,
-                    if pi + 1 == points.len() { "" } else { "," }
-                ));
-            }
-            json.push_str(if mi == 0 { "      ],\n" } else { "      ]\n" });
+    let mut schemes = Obj::block();
+    for scheme in Scheme::ALL {
+        let mut modes = Obj::block();
+        for (mode, degraded) in [("normal", false), ("degraded", true)] {
+            let in_mode = |r: &&CellResult| r.cell.scheme == scheme && r.cell.degraded == degraded;
+            let rows = results.iter().filter(in_mode).map(CellResult::json);
+            modes.push(mode, Json::rows(rows));
         }
-        json.push_str(if si + 1 == SCHEMES.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
+        schemes.push(scheme.abbrev(), modes);
     }
-    json.push_str("  }\n}\n");
-    std::fs::write(&out_path, &json).expect("write benchmark json");
-    println!("wrote {out_path}");
+    let doc = Obj::block()
+        .field("quick", quick)
+        .field("seed", SEED)
+        .field("cycles_per_cell", cycles)
+        .field(
+            "catalog",
+            format!("{MOVIES} movies x {TRACKS} tracks, Zipf theta {THETA}"),
+        )
+        .field(
+            "engine",
+            format!(
+                "Poisson arrivals at load-matched rate, VBR ladder {VBR_LADDER:?}, \
+                 abandonment {ABANDON}, Reject admission"
+            ),
+        )
+        .field("sessions_offered_total", offered_total)
+        .field("thread_counts", Json::list(THREAD_COUNTS))
+        .field("bit_identical", bit_identical)
+        .field("seconds_per_pass", runs.seconds_json(2))
+        .field(
+            "note",
+            "stall_rate = hiccups / (delivered + hiccups); utilization is the busy fraction \
+             of total disk-time; degraded = one disk failed at cycles/10",
+        )
+        .field("schemes", schemes);
+    write_json(&out, doc);
     assert!(
         bit_identical,
         "determinism contract violated: results differ across thread counts"

@@ -6,28 +6,15 @@
 //!     peaking at C(C+1)/2 = 15 tracks — versus 2C per stream (40 for
 //!     four streams) under Streaming RAID.
 
-use mms_server::layout::{BandwidthClass, MediaObject, ObjectId};
-use mms_server::sim::DataMode;
-use mms_server::{MultimediaServer, Scheme, ServerBuilder};
+use mms_bench::bench_server;
+use mms_server::Scheme;
 
-fn build(scheme: Scheme) -> MultimediaServer {
-    ServerBuilder::new(scheme)
-        .disks(10)
-        .parity_group(5)
-        .object(MediaObject::new(
-            ObjectId(0),
-            "m",
-            400,
-            BandwidthClass::Mpeg1,
-        ))
-        .data_mode(DataMode::MetadataOnly)
-        .build()
-        .unwrap()
-}
+/// One movie, long enough that no stream finishes inside the figure.
+const TRACKS: u64 = 400;
 
 fn main() {
     // (b) One stream's sawtooth (end-of-cycle occupancy).
-    let mut single = build(Scheme::StaggeredGroup);
+    let mut single = bench_server(Scheme::StaggeredGroup, 1, TRACKS);
     let m = single.objects()[0];
     single.admit(m).unwrap();
     for _ in 0..20 {
@@ -44,7 +31,7 @@ fn main() {
     );
 
     // (a) Four streams, staggered vs Streaming RAID.
-    let mut sg = build(Scheme::StaggeredGroup);
+    let mut sg = bench_server(Scheme::StaggeredGroup, 1, TRACKS);
     let m = sg.objects()[0];
     for _ in 0..4 {
         sg.admit(m).unwrap();
@@ -53,7 +40,7 @@ fn main() {
     for _ in 0..24 {
         sg.step().unwrap();
     }
-    let mut sr = build(Scheme::StreamingRaid);
+    let mut sr = bench_server(Scheme::StreamingRaid, 1, TRACKS);
     let m = sr.objects()[0];
     for _ in 0..4 {
         sr.admit(m).unwrap();

@@ -2,22 +2,12 @@
 //! schedule — one track per stream per cycle, rotating across the data
 //! disks, no parity reads.
 
-use mms_bench::{figure_name_map, figure_scheduler, FIGURE_STARTS};
-use mms_server::layout::ObjectId;
-use mms_server::sched::{SchemeScheduler, TransitionPolicy};
+use mms_bench::{figure_name_map, figure_plans};
+use mms_server::sched::TransitionPolicy;
 use mms_server::sim::trace;
 
 fn main() {
-    let mut sched = figure_scheduler(TransitionPolicy::Simple);
-    let mut plans = Vec::new();
-    for t in 0..9u64 {
-        for &(obj, at) in &FIGURE_STARTS {
-            if at == t {
-                sched.admit(ObjectId(obj), at).unwrap();
-            }
-        }
-        plans.push(sched.plan_cycle(t));
-    }
+    let (plans, _) = figure_plans(TransitionPolicy::Simple, 9, false);
     println!("Figure 5 — Non-clustered scheme under normal operation\n");
     println!("{}", trace::render_schedule(&plans, 5, &figure_name_map()));
     println!("Disk 4 (the parity disk) is never read in normal mode; each");

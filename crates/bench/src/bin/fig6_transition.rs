@@ -3,36 +3,14 @@
 //! {Y1, W2, Y2, U3, W3, Y3} — six tracks: two on the failed disk, four
 //! displaced by the shift.
 
-use mms_bench::{figure_name_map, figure_scheduler, FIGURE_FAIL_CYCLE, FIGURE_STARTS};
-use mms_server::disk::DiskId;
-use mms_server::layout::{BlockKind, ObjectId};
-use mms_server::sched::{SchemeScheduler, TransitionPolicy};
+use mms_bench::{figure_name_map, figure_plans};
+use mms_server::sched::TransitionPolicy;
 use mms_server::sim::trace;
 
 fn main() {
-    let mut sched = figure_scheduler(TransitionPolicy::Simple);
-    let names = figure_name_map();
-    let mut plans = Vec::new();
-    let mut lost = Vec::new();
-    for t in 0..12u64 {
-        for &(obj, at) in &FIGURE_STARTS {
-            if at == t {
-                sched.admit(ObjectId(obj), at).unwrap();
-            }
-        }
-        if t == FIGURE_FAIL_CYCLE {
-            sched.on_disk_failure(DiskId(2), t, false);
-        }
-        let plan = sched.plan_cycle(t);
-        for h in &plan.hiccups {
-            if let BlockKind::Data(ix) = h.addr.kind {
-                lost.push(format!("{}{} ({})", names[&h.addr.object.0], ix, h.reason));
-            }
-        }
-        plans.push(plan);
-    }
+    let (plans, lost) = figure_plans(TransitionPolicy::Simple, 12, true);
     println!("Figure 6 — Non-clustered simple transition (disk 2 fails before cycle 4)\n");
-    println!("{}", trace::render_schedule(&plans, 5, &names));
+    println!("{}", trace::render_schedule(&plans, 5, &figure_name_map()));
     println!("lost tracks ({}): {}", lost.len(), lost.join(", "));
     println!("\npaper's Figure 6 loses exactly: Y1, W2, Y2, U3, W3, Y3 (6 tracks)");
     assert_eq!(lost.len(), 6, "must reproduce the paper's six lost tracks");

@@ -149,53 +149,3 @@ mod tests {
         assert!(line.contains("*Y.1.2"), "{line}");
     }
 }
-
-/// Render a buffer-occupancy series as an ASCII bar chart (one row per
-/// cycle), in the style of the paper's Figure 4.
-#[must_use]
-pub fn render_buffer_series(series: &[usize], max_rows: usize) -> String {
-    let mut out = String::new();
-    let peak = series.iter().copied().max().unwrap_or(0).max(1);
-    let width = 48usize;
-    let _ = writeln!(out, "{:>6}  {:>6}  (peak {peak})", "cycle", "tracks");
-    for (t, &v) in series.iter().enumerate().take(max_rows) {
-        let bar = "#".repeat(v * width / peak);
-        let _ = writeln!(out, "{t:>6}  {v:>6}  {bar}");
-    }
-    if series.len() > max_rows {
-        let _ = writeln!(
-            out,
-            "{:>6}  … ({} more cycles)",
-            "",
-            series.len() - max_rows
-        );
-    }
-    out
-}
-
-#[cfg(test)]
-mod buffer_series_tests {
-    use super::*;
-
-    #[test]
-    fn renders_bars_proportionally() {
-        let s = render_buffer_series(&[0, 5, 10], 10);
-        assert!(s.contains("peak 10"), "{s}");
-        let lines: Vec<&str> = s.lines().collect();
-        let bar_len = |l: &str| l.chars().filter(|&c| c == '#').count();
-        assert_eq!(bar_len(lines[1]), 0);
-        assert_eq!(bar_len(lines[3]), 2 * bar_len(lines[2]));
-    }
-
-    #[test]
-    fn truncates_long_series() {
-        let s = render_buffer_series(&vec![1; 100], 5);
-        assert!(s.contains("95 more cycles"), "{s}");
-    }
-
-    #[test]
-    fn empty_series_is_safe() {
-        let s = render_buffer_series(&[], 5);
-        assert!(s.contains("peak 1"));
-    }
-}

@@ -63,7 +63,7 @@ pub mod dashboard;
 mod event;
 mod flight;
 mod health;
-pub(crate) mod json;
+pub mod json;
 pub mod jsonl;
 mod macros;
 pub mod perfetto;
