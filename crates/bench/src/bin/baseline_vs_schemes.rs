@@ -84,7 +84,9 @@ fn scheme_run(scheme: Scheme) -> (u64, u64) {
                 .unwrap();
         }
         if t == repair_at {
-            server.repair_disk(DiskId(1)).unwrap();
+            server
+                .inject(FailureEvent::repair(server.cycle(), DiskId(1)))
+                .unwrap();
         }
         server.step().unwrap();
     }

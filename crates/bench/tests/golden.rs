@@ -46,4 +46,9 @@ golden!(
     section2_table,
     baseline_vs_schemes,
     ablation_kprime,
+    fig5_schedule,
+    fig6_transition,
+    fig7_transition,
+    ablation_transition,
+    ablation_ib_reserve,
 );

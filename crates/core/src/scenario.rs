@@ -281,7 +281,7 @@ impl ScenarioRunner {
             // Between scripted events nothing external can perturb the
             // schedule, so the stretch up to the next event (or the
             // horizon) is a fast-forward candidate. Tertiary staging
-            // advances only through `server.step`, so the fast path
+            // advances one tape cycle per server step, so the fast path
             // stays off while the librarian has work.
             if self.fast_forward && server.staging().queue().is_empty() {
                 let next_event = events

@@ -132,9 +132,9 @@ impl MultimediaServer {
         self.sim.scheduler().stream_info(id)
     }
 
-    /// Simulate one delivery cycle (advancing any tertiary staging by one
-    /// tape cycle first).
-    pub fn step(&mut self) -> Result<CycleReport, ServerError> {
+    /// Advance tertiary staging by one tape cycle, registering the front
+    /// object with the scheduler (and the oracle) once fully staged.
+    fn advance_staging(&mut self) {
         let cycle = self.sim.cycle();
         let (scheduler, oracle) = self.sim.scheduler_and_oracle();
         let mut placed_meta: Option<(ObjectId, u64)> = None;
@@ -158,12 +158,29 @@ impl MultimediaServer {
             self.last_use.insert(id, cycle);
         }
         debug_assert_eq!(placed.is_some(), placed_meta.is_some());
+    }
+
+    /// Whether tertiary staging still has a job queued.
+    fn staging_busy(&self) -> bool {
+        !self.librarian.queue().is_empty()
+    }
+
+    /// Simulate one delivery cycle (advancing any tertiary staging by one
+    /// tape cycle first).
+    pub fn step(&mut self) -> Result<CycleReport, ServerError> {
+        self.advance_staging();
         Ok(self.sim.step()?)
     }
 
-    /// Simulate `cycles` cycles.
+    /// Simulate `cycles` cycles. While tertiary staging has work, every
+    /// cycle runs as a [`step`](Self::step) (the event-horizon fast path
+    /// stays off); the rest run as [`Simulator::run`].
     pub fn run(&mut self, cycles: u64) -> Result<(), ServerError> {
-        Ok(self.sim.run(cycles)?)
+        let end = self.sim.cycle() + cycles;
+        while self.sim.cycle() < end && self.staging_busy() {
+            self.step()?;
+        }
+        Ok(self.sim.run(end - self.sim.cycle())?)
     }
 
     /// End a viewer's stream early (they stopped watching). Buffered
@@ -179,13 +196,24 @@ impl MultimediaServer {
     /// configured Reject/Degrade/Queue admission policy. Counters and
     /// admission-wait percentiles accumulate in
     /// [`SessionEngine::stats`].
+    ///
+    /// While tertiary staging has work, each cycle advances it first and
+    /// then runs the engine's tick and one step, with the event-horizon
+    /// fast path off; the rest run as [`Simulator::run_sessions`].
     pub fn run_sessions<R: Rng + ?Sized>(
         &mut self,
         cycles: u64,
         engine: &mut SessionEngine,
         rng: &mut R,
     ) -> Result<(), ServerError> {
-        Ok(self.sim.run_sessions(cycles, engine, rng)?)
+        let end = self.sim.cycle() + cycles;
+        while self.sim.cycle() < end && self.staging_busy() {
+            self.advance_staging();
+            let cycle = self.sim.cycle();
+            engine.tick(cycle, self.sim.scheduler_and_oracle().0, rng);
+            self.sim.step()?;
+        }
+        Ok(self.sim.run_sessions(end - self.sim.cycle(), engine, rng)?)
     }
 
     /// Inject one failure or repair event — the single entry point for
@@ -233,11 +261,6 @@ impl MultimediaServer {
                 Ok(FailureReport::default())
             }
         }
-    }
-
-    /// Repair a disk effective next cycle.
-    pub fn repair_disk(&mut self, disk: DiskId) -> Result<(), ServerError> {
-        Ok(self.sim.repair_disk_now(disk)?)
     }
 
     /// Begin rebuilding a failed disk from parity onto a spare. The

@@ -16,26 +16,12 @@
 
 use crate::cycle::CycleConfig;
 use crate::plan::{CyclePlan, Delivery, LossReason, LostBlock, PlannedRead, ReadPurpose};
-use crate::streams::{StreamId, StreamInfo};
-use crate::traits::{AdmissionError, FailureReport, PlanStability, SchemeKind, SchemeScheduler};
+use crate::streams::{book_backed_methods, SlotRule, Stream, StreamBook, StreamId};
+use crate::traits::{FailureReport, PlanStability, SchemeKind, SchemeScheduler};
 use mms_buffer::{BufferPool, OwnerId};
 use mms_disk::DiskId;
-use mms_layout::{BlockAddr, Catalog, ClusteredLayout, Layout, ObjectId};
-use std::collections::{BTreeMap, BTreeSet};
-
-/// Per-stream state. All fields are scalars, so the snapshot taken by
-/// `plan_cycle_into` is a plain copy — no heap traffic on the hot path.
-#[derive(Debug, Clone, Copy)]
-struct BlStream {
-    object: ObjectId,
-    start_cluster: u32,
-    groups: u64,
-    tracks: u64,
-    start_cycle: u64,
-    class: (u32, u32),
-    delivered: u64,
-    lost: u64,
-}
+use mms_layout::{BlockAddr, Catalog, ClusteredLayout, Layout};
+use std::collections::BTreeMap;
 
 /// The unprotected striped server (no parity reads, no reconstruction,
 /// no degraded mode — failures simply punch holes in delivery).
@@ -47,15 +33,16 @@ struct BlStream {
 #[derive(Debug)]
 pub struct BaselineScheduler {
     config: CycleConfig,
-    catalog: Catalog<ClusteredLayout>,
-    streams: BTreeMap<StreamId, BlStream>,
-    failed_disks: BTreeSet<DiskId>,
+    /// One block per cycle, so a group is read over `bpg` cycles; a
+    /// stream's slot is returned with its last read.
+    book: StreamBook<ClusteredLayout, ()>,
+    /// Failed disks, each with the first cycle whose reads it missed.
+    failed_disks: BTreeMap<DiskId, u64>,
+    /// Streams whose read in the cycle before a repair was skipped on
+    /// the repaired disk: that block is still lost at this cycle's
+    /// delivery.
+    unread: Vec<StreamId>,
     buffers: BufferPool,
-    next_stream: u64,
-    next_cycle: u64,
-    /// Plan epoch: bumped by admit/release/failure/repair (see
-    /// [`SchemeScheduler::plan_epoch`]).
-    epoch: u64,
     /// Reusable per-cycle id snapshot (plan_cycle_into must not allocate).
     ids_scratch: Vec<StreamId>,
 }
@@ -69,15 +56,18 @@ impl BaselineScheduler {
     pub fn new(config: CycleConfig, catalog: Catalog<ClusteredLayout>) -> Self {
         assert_eq!(config.k, 1, "baseline uses k = 1");
         assert_eq!(config.k_prime, 1, "baseline uses k' = 1");
+        let bpg = u64::from(catalog.layout().blocks_per_group());
         BaselineScheduler {
+            book: StreamBook::new(
+                catalog,
+                bpg,
+                config.slots_per_disk(),
+                SlotRule::UntilLastRead,
+            ),
             config,
-            catalog,
-            streams: BTreeMap::new(),
-            failed_disks: BTreeSet::new(),
+            failed_disks: BTreeMap::new(),
+            unread: Vec::new(),
             buffers: BufferPool::unbounded(),
-            next_stream: 0,
-            next_cycle: 0,
-            epoch: 0,
             ids_scratch: Vec::new(),
         }
     }
@@ -85,152 +75,45 @@ impl BaselineScheduler {
     /// The catalog.
     #[must_use]
     pub fn catalog(&self) -> &Catalog<ClusteredLayout> {
-        &self.catalog
-    }
-
-    fn bpg(&self) -> u64 {
-        u64::from(self.catalog.layout().blocks_per_group())
-    }
-
-    fn class_of(&self, h: u32, at_cycle: u64) -> (u32, u32) {
-        let period = self.bpg();
-        let nc = u64::from(self.catalog.layout().geometry().clusters());
-        let r = (at_cycle % period) as u32;
-        let q = at_cycle / period;
-        ((r), ((u64::from(h) + nc - (q % nc)) % nc) as u32)
+        self.book.catalog()
     }
 }
 
+/// The block `s` reads at `cycle`, if any: one per cycle, none in the
+/// idle slots after a partial final group.
+fn block_read_at(s: &Stream<()>, cycle: u64) -> Option<(u64, u32)> {
+    s.slot_at(cycle).filter(|&(g, i)| i < s.blocks_in(g))
+}
+
 impl SchemeScheduler for BaselineScheduler {
+    book_backed_methods!();
+
     fn scheme(&self) -> SchemeKind {
         // Reported as Non-clustered's layout kin; the distinction that
         // matters (no parity at all) shows in the metrics.
         SchemeKind::NonClustered
     }
 
-    fn config(&self) -> &CycleConfig {
-        &self.config
-    }
-
-    fn admit(&mut self, object: ObjectId, at_cycle: u64) -> Result<StreamId, AdmissionError> {
-        assert!(at_cycle >= self.next_cycle, "cannot admit into the past");
-        let placed = self
-            .catalog
-            .get(object)
-            .map_err(|_| AdmissionError::UnknownObject { object })?;
-        let class = self.class_of(placed.start_cluster, at_cycle);
-        let bpg = self.bpg();
-        let load = self
-            .streams
-            .values()
-            .filter(|s| s.class == class && s.start_cycle + s.groups * bpg > at_cycle)
-            .count();
-        if load >= self.config.slots_per_disk() {
-            return Err(AdmissionError::AtCapacity {
-                active: self.streams.len(),
-                limit: self.stream_capacity(),
-            });
-        }
-        let id = StreamId(self.next_stream);
-        self.next_stream += 1;
-        self.epoch += 1;
-        self.streams.insert(
-            id,
-            BlStream {
-                object,
-                start_cluster: placed.start_cluster,
-                groups: placed.groups,
-                tracks: placed.object.tracks,
-                start_cycle: at_cycle,
-                class,
-                delivered: 0,
-                lost: 0,
-            },
-        );
-        Ok(id)
-    }
-
-    fn stream_capacity(&self) -> usize {
-        self.config.slots_per_disk()
-            * self.bpg() as usize
-            * self.catalog.layout().geometry().clusters() as usize
-    }
-
-    fn active_streams(&self) -> usize {
-        self.streams.len()
-    }
-
-    fn stream_info(&self, id: StreamId) -> Option<StreamInfo> {
-        self.streams.get(&id).map(|s| StreamInfo {
-            id,
-            object: s.object,
-            admitted_at: s.start_cycle,
-            groups: s.groups,
-            next_group: (self.next_cycle.saturating_sub(s.start_cycle) / self.bpg()).min(s.groups),
-            delivered_tracks: s.delivered,
-            lost_tracks: s.lost,
-        })
-    }
-
-    fn release(&mut self, id: StreamId) -> bool {
-        let bpg = self.bpg();
-        let Some(st) = self.streams.get_mut(&id) else {
-            return false;
-        };
-        // One block is read per cycle, `bpg` cycles per group, so the
-        // started-group count is the ceiling of the elapsed span.
-        let elapsed = self.next_cycle.saturating_sub(st.start_cycle);
-        let started = elapsed.div_ceil(bpg);
-        if started >= st.groups {
-            // Every group is already under way: nothing to cut.
-            return false;
-        }
-        self.epoch += 1;
-        if started == 0 {
-            // Nothing read yet: retire immediately. Admission counts
-            // live streams directly, so no class bookkeeping to undo.
-            self.streams.remove(&id);
-            self.buffers.free_all(OwnerId(id.0));
-            return true;
-        }
-        // Truncate to the started group; its remaining blocks drain and
-        // the normal finish path retires the stream.
-        st.groups = st.groups.min(started);
-        true
-    }
-
     fn plan_cycle_into(&mut self, cycle: u64, plan: &mut CyclePlan) {
-        assert_eq!(cycle, self.next_cycle, "cycles must be planned in order");
-        self.next_cycle += 1;
-        plan.reset(cycle);
-        let layout = *self.catalog.layout();
-        let bpg = self.bpg();
+        self.book.begin_cycle(cycle, plan);
+        let layout = *self.book.layout();
 
         // Snapshot stream ids into the reusable scratch so the loops can
-        // mutate `self.streams` without holding a borrow on it.
+        // mutate the book without holding a borrow on it.
         let mut ids = std::mem::take(&mut self.ids_scratch);
         ids.clear();
-        ids.extend(self.streams.keys().copied());
+        ids.extend(self.book.ids());
         // Reads: one block per stream per cycle; a block on a failed
         // disk is simply not read — the hiccup surfaces at delivery
         // time next cycle when the same placement check fails again.
         for id in ids.iter().copied() {
-            let s = self.streams[&id];
-            if cycle < s.start_cycle {
+            let s = self.book[id];
+            let Some((g, i)) = block_read_at(&s, cycle) else {
                 continue;
-            }
-            let rel = cycle - s.start_cycle;
-            let (g, i) = (rel / bpg, (rel % bpg) as u32);
-            if g >= s.groups {
-                continue;
-            }
-            let blocks = (s.tracks - g * bpg).min(bpg) as u32;
-            if i >= blocks {
-                continue;
-            }
+            };
             let p = layout.data_placement(s.start_cluster, g, i);
             let addr = BlockAddr::data(s.object, g, i);
-            if !self.failed_disks.contains(&p.disk) {
+            if !self.failed_disks.contains_key(&p.disk) {
                 plan.push_read(
                     p.disk,
                     PlannedRead {
@@ -247,26 +130,21 @@ impl SchemeScheduler for BaselineScheduler {
 
         // Deliveries: the block read last cycle.
         for id in ids.iter().copied() {
-            let Some(s) = self.streams.get(&id).copied() else {
+            let Some(s) = self.book.get(id).copied() else {
                 continue;
             };
-            if cycle < s.start_cycle + 1 {
+            let Some((g, i)) = cycle.checked_sub(1).and_then(|t| s.slot_at(t)) else {
                 continue;
-            }
-            let rel = cycle - s.start_cycle - 1;
-            let (g, i) = (rel / bpg, (rel % bpg) as u32);
-            if g >= s.groups {
-                continue;
-            }
-            let blocks = (s.tracks - g * bpg).min(bpg) as u32;
+            };
+            let blocks = s.blocks_in(g);
             if i < blocks {
                 let addr = BlockAddr::data(s.object, g, i);
                 let p = layout.data_placement(s.start_cluster, g, i);
                 let st = self
-                    .streams
-                    .get_mut(&id)
+                    .book
+                    .get_mut(id)
                     .expect("stream id snapshot only holds live streams");
-                if self.failed_disks.contains(&p.disk) {
+                if self.failed_disks.contains_key(&p.disk) || self.unread.contains(&id) {
                     // The read last cycle failed: hiccup, repeating every
                     // time the stream rotates back onto the dead disk.
                     plan.hiccups.push(LostBlock {
@@ -288,18 +166,20 @@ impl SchemeScheduler for BaselineScheduler {
                         .expect("every delivered block was allocated last cycle");
                 }
             }
-            if g + 1 == s.groups && i + 1 >= blocks {
+            if g + 1 == s.groups() && i + 1 >= blocks {
                 plan.finished.push(id);
-                self.streams.remove(&id);
-                self.buffers.free_all(OwnerId(id.0));
+                self.book.retire(id, &mut self.buffers);
             }
         }
+        self.unread.clear();
         self.ids_scratch = ids;
     }
 
     fn on_disk_failure(&mut self, disk: DiskId, _cycle: u64, _mid_cycle: bool) -> FailureReport {
-        self.epoch += 1;
-        self.failed_disks.insert(disk);
+        self.book.bump_epoch();
+        self.failed_disks
+            .entry(disk)
+            .or_insert(self.book.next_cycle());
         FailureReport {
             // No parity: any data on the disk is unreadable until repair;
             // the paper calls the no-redundancy data outage what it is.
@@ -309,52 +189,38 @@ impl SchemeScheduler for BaselineScheduler {
     }
 
     fn on_disk_repair(&mut self, disk: DiskId, _cycle: u64) {
-        self.epoch += 1;
-        self.failed_disks.remove(&disk);
-    }
-
-    fn buffer_in_use(&self) -> usize {
-        self.buffers.in_use()
-    }
-
-    fn buffer_high_water(&self) -> usize {
-        self.buffers.high_water()
+        self.book.bump_epoch();
+        let Some(since) = self.failed_disks.remove(&disk) else {
+            return;
+        };
+        // A read the disk missed in the last planned cycle is not
+        // redone: its block is lost at the delivery due now.
+        let Some(last) = self
+            .book
+            .next_cycle()
+            .checked_sub(1)
+            .filter(|&t| t >= since)
+        else {
+            return;
+        };
+        let layout = *self.book.layout();
+        for (id, s) in self.book.iter() {
+            if block_read_at(s, last)
+                .is_some_and(|(g, i)| layout.data_placement(s.start_cluster, g, i).disk == disk)
+            {
+                self.unread.push(id);
+            }
+        }
     }
 
     fn plan_stability(&self, cycle: u64) -> PlanStability {
-        // One block per cycle, `bpg` cycles per group, rotating over N_C
-        // clusters: the disk pattern repeats every bpg · N_C cycles.
-        let nc = u64::from(self.catalog.layout().geometry().clusters());
-        let period = self.bpg() * nc;
-        if !self.failed_disks.is_empty() {
-            return PlanStability { period, stable: 0 };
-        }
-        let mut stable = u64::MAX;
-        for s in self.streams.values() {
-            if cycle <= s.start_cycle {
-                return PlanStability { period, stable: 0 };
-            }
-            // End before the final (possibly partial) group starts
-            // reading at start + (groups − 1)·bpg.
-            let final_read = s.start_cycle + (s.groups - 1) * self.bpg();
-            stable = stable.min(final_read.saturating_sub(cycle));
-        }
-        PlanStability { period, stable }
+        let healthy = self.failed_disks.is_empty() && self.unread.is_empty();
+        self.book.stability(cycle, healthy)
     }
 
     fn fast_forward(&mut self, cycles: u64) {
         debug_assert!(self.failed_disks.is_empty(), "fast_forward while failed");
-        let nc = u64::from(self.catalog.layout().geometry().clusters());
-        debug_assert_eq!(cycles % (self.bpg() * nc), 0, "not a whole rotation");
-        self.next_cycle += cycles;
-        // One track delivered per stream per steady cycle.
-        for s in self.streams.values_mut() {
-            s.delivered += cycles;
-        }
-    }
-
-    fn plan_epoch(&self) -> u64 {
-        self.epoch
+        self.book.fast_forward(cycles);
     }
 }
 
@@ -362,7 +228,7 @@ impl SchemeScheduler for BaselineScheduler {
 mod tests {
     use super::*;
     use mms_disk::{Bandwidth, DiskParams};
-    use mms_layout::{BandwidthClass, Geometry, MediaObject};
+    use mms_layout::{BandwidthClass, Geometry, MediaObject, ObjectId};
 
     fn make(tracks: u64) -> BaselineScheduler {
         let geo = Geometry::clustered(10, 5).unwrap();
@@ -435,6 +301,23 @@ mod tests {
             hiccups += s.plan_cycle(t).hiccups.len();
         }
         assert_eq!(hiccups, 0);
+    }
+
+    #[test]
+    fn a_read_skipped_on_a_failed_disk_hiccups_even_after_repair() {
+        // Block 1 of group 0 is read at cycle 1 from disk 1. The disk is
+        // down for that read and back before the delivery at cycle 2:
+        // nothing was read, so the delivery slot is a hiccup.
+        let mut s = make(40);
+        s.admit(ObjectId(0), 0).unwrap();
+        s.plan_cycle(0);
+        s.on_disk_failure(DiskId(1), 1, false);
+        s.plan_cycle(1);
+        s.on_disk_repair(DiskId(1), 2);
+        let p = s.plan_cycle(2);
+        assert_eq!(p.hiccups.len(), 1);
+        assert!(p.deliveries.is_empty());
+        assert_eq!(s.buffer_in_use(), 1, "only cycle 2's read is buffered");
     }
 
     #[test]

@@ -20,10 +20,10 @@
 
 use crate::cycle::CycleConfig;
 use crate::plan::{CyclePlan, Delivery, LossReason, LostBlock, PlannedRead, ReadPurpose};
-use crate::streams::{StreamId, StreamInfo};
+use crate::streams::{book_backed_methods, SlotRule, StreamBook};
 use crate::traits::{
-    data_tracks_on_disks, emit_mode_transition, AdmissionError, FailureReport, PlanStability,
-    RetireError, SchemeKind, SchemeScheduler,
+    data_tracks_on_disks, emit_mode_transition, FailureReport, PlanStability, RetireError,
+    SchemeKind, SchemeScheduler,
 };
 use mms_buffer::{BufferPool, OwnerId};
 use mms_disk::DiskId;
@@ -45,41 +45,15 @@ struct GroupState {
     parity_held: bool,
 }
 
-/// Per-stream state.
-#[derive(Debug, Clone)]
-struct GrStream {
-    object: ObjectId,
-    start_cluster: u32,
-    groups: u64,
-    tracks: u64,
-    start_cycle: u64,
-    /// Admission class, `phase · N_C + cluster trajectory`: streams with
-    /// equal class occupy the same disks every cycle, forever.
-    class: usize,
-    delivered: u64,
-    lost: u64,
+/// A stream's two groups in flight.
+#[derive(Debug, Clone, Default)]
+struct InFlight {
     /// The group being transmitted.
     sending: GroupState,
     /// The group read this cycle. It becomes `sending` only after this
     /// cycle's transmissions of the previous group are planned, so a
     /// group is never labelled with the state of the group read after it.
     reading: GroupState,
-}
-
-impl GrStream {
-    /// The group this stream reads at `cycle`, if `cycle` is one of its
-    /// read cycles.
-    fn group_read_at(&self, cycle: u64, period: u64) -> Option<u64> {
-        let rel = cycle.checked_sub(self.start_cycle)?;
-        let g = rel / period;
-        (rel.is_multiple_of(period) && g < self.groups).then_some(g)
-    }
-}
-
-/// Data blocks in group `g` of a `tracks`-track object (the final group
-/// may be partial).
-fn blocks_in_group(tracks: u64, g: u64, per_group: u64) -> u32 {
-    (tracks - g * per_group).min(per_group) as u32
 }
 
 /// The clustered scheduler: whole-group reads every `k/k′` cycles, `k′`
@@ -99,20 +73,12 @@ fn blocks_in_group(tracks: u64, g: u64, per_group: u64) -> u32 {
 pub struct GroupedScheduler {
     scheme: SchemeKind,
     config: CycleConfig,
-    catalog: Catalog<ClusteredLayout>,
-    streams: BTreeMap<StreamId, GrStream>,
-    /// Active streams per admission class (see [`GrStream::class`]). A
-    /// slot is held until the stream finishes, or is released before its
-    /// first read.
-    class_load: Vec<usize>,
+    /// A group every `k/k′` cycles; a stream holds its class slot until
+    /// it finishes, or is released before its first read.
+    book: StreamBook<ClusteredLayout, InFlight>,
     /// Failed disk positions per cluster.
     failed: BTreeMap<ClusterId, BTreeSet<u32>>,
     buffers: BufferPool,
-    next_stream: u64,
-    next_cycle: u64,
-    /// Plan epoch: bumped by admit/release/failure/repair (see
-    /// [`SchemeScheduler::plan_epoch`]).
-    epoch: u64,
 }
 
 impl GroupedScheduler {
@@ -162,171 +128,53 @@ impl GroupedScheduler {
         if scheme == SchemeKind::StreamingRaid {
             assert_eq!(config.k_prime, c - 1, "Streaming RAID requires k' = C−1");
         }
-        let classes = config.read_period() * catalog.layout().geometry().clusters() as usize;
+        let period = config.read_period() as u64;
         GroupedScheduler {
             scheme,
+            book: StreamBook::new(
+                catalog,
+                period,
+                config.slots_per_disk(),
+                SlotRule::UntilRetired,
+            ),
             config,
-            catalog,
-            streams: BTreeMap::new(),
-            class_load: vec![0; classes],
             failed: BTreeMap::new(),
             buffers: BufferPool::unbounded(),
-            next_stream: 0,
-            next_cycle: 0,
-            epoch: 0,
         }
     }
 
     /// The catalog.
     #[must_use]
     pub fn catalog(&self) -> &Catalog<ClusteredLayout> {
-        &self.catalog
+        self.book.catalog()
     }
 
     /// Register a newly staged object in the catalog (the tertiary →
     /// disk load path of Figure 1).
     pub fn register_object(&mut self, object: MediaObject) -> Result<(), CatalogError> {
-        self.catalog.add(object).map(|_| ())
+        self.book.register_object(object)
     }
 
     /// Retire an object from the catalog (the purge path), refusing while
     /// any stream is still delivering it.
     pub fn retire_object(&mut self, object: ObjectId) -> Result<(), RetireError> {
-        let streams = self.streams.values().filter(|s| s.object == object).count();
-        if streams > 0 {
-            return Err(RetireError::InUse { object, streams });
-        }
-        self.catalog
-            .remove(object)
-            .map(|_| ())
-            .map_err(|_| RetireError::NotFound { object })
-    }
-
-    fn period(&self) -> u64 {
-        self.config.read_period() as u64
-    }
-
-    fn clusters(&self) -> u64 {
-        u64::from(self.catalog.layout().geometry().clusters())
-    }
-
-    /// Admission class of a stream admitted at `at_cycle` whose object
-    /// starts on cluster `h`: its read-phase residue and the cluster it
-    /// would occupy at read cycle 0, projected onto absolute time.
-    fn class_of(&self, h: u32, at_cycle: u64) -> usize {
-        let period = self.period();
-        let nc = self.clusters();
-        let phase = at_cycle % period;
-        let trajectory = (u64::from(h) + nc - (at_cycle / period) % nc) % nc;
-        (phase * nc + trajectory) as usize
+        self.book.retire_object(object)
     }
 }
 
 impl SchemeScheduler for GroupedScheduler {
+    book_backed_methods!();
+
     fn scheme(&self) -> SchemeKind {
         self.scheme
     }
 
-    fn config(&self) -> &CycleConfig {
-        &self.config
-    }
-
-    fn admit(&mut self, object: ObjectId, at_cycle: u64) -> Result<StreamId, AdmissionError> {
-        assert!(at_cycle >= self.next_cycle, "cannot admit into the past");
-        let placed = self
-            .catalog
-            .get(object)
-            .map_err(|_| AdmissionError::UnknownObject { object })?;
-        let class = self.class_of(placed.start_cluster, at_cycle);
-        if self.class_load[class] >= self.config.slots_per_disk() {
-            return Err(AdmissionError::AtCapacity {
-                active: self.streams.len(),
-                limit: self.stream_capacity(),
-            });
-        }
-        let id = StreamId(self.next_stream);
-        self.next_stream += 1;
-        self.class_load[class] += 1;
-        self.epoch += 1;
-        self.streams.insert(
-            id,
-            GrStream {
-                object,
-                start_cluster: placed.start_cluster,
-                groups: placed.groups,
-                tracks: placed.object.tracks,
-                start_cycle: at_cycle,
-                class,
-                delivered: 0,
-                lost: 0,
-                sending: GroupState::default(),
-                reading: GroupState::default(),
-            },
-        );
-        Ok(id)
-    }
-
-    fn stream_capacity(&self) -> usize {
-        // slots × read phases × N_C clusters — Eq. 8's shape at k′ = C−1,
-        // Eq. 9's at k′ = 1.
-        self.config.slots_per_disk() * self.class_load.len()
-    }
-
-    fn active_streams(&self) -> usize {
-        self.streams.len()
-    }
-
-    fn stream_info(&self, id: StreamId) -> Option<StreamInfo> {
-        self.streams.get(&id).map(|s| StreamInfo {
-            id,
-            object: s.object,
-            admitted_at: s.start_cycle,
-            groups: s.groups,
-            next_group: (self.next_cycle.saturating_sub(s.start_cycle) / self.period())
-                .min(s.groups),
-            delivered_tracks: s.delivered,
-            lost_tracks: s.lost,
-        })
-    }
-
-    fn release(&mut self, id: StreamId) -> bool {
-        let period = self.period();
-        let Some(st) = self.streams.get_mut(&id) else {
-            return false;
-        };
-        // Group g is read at `start + g·period`, so the resident count
-        // is the ceiling of the elapsed span over the period.
-        let read = self
-            .next_cycle
-            .saturating_sub(st.start_cycle)
-            .div_ceil(period);
-        if read >= st.groups {
-            // Every group is already read: nothing to cut.
-            return false;
-        }
-        self.epoch += 1;
-        if read == 0 {
-            // Nothing read yet: retire immediately, returning the slot.
-            self.class_load[st.class] -= 1;
-            self.streams.remove(&id);
-            self.buffers.free_all(OwnerId(id.0));
-            return true;
-        }
-        // Truncate to what was read; the in-flight group drains and the
-        // normal finish path in pass 2 retires the stream.
-        st.groups = st.groups.min(read);
-        true
-    }
-
     fn plan_cycle_into(&mut self, cycle: u64, plan: &mut CyclePlan) {
-        assert_eq!(cycle, self.next_cycle, "cycles must be planned in order");
-        self.next_cycle += 1;
-        plan.reset(cycle);
-        let layout = *self.catalog.layout();
+        self.book.begin_cycle(cycle, plan);
+        let layout = *self.book.layout();
         let geometry = *layout.geometry();
-        let per_group = u64::from(layout.blocks_per_group());
         let parity_pos = geometry.disks_per_cluster() - 1;
-        let period = self.period();
+        let period = self.config.read_period() as u64;
         let k_prime = self.config.k_prime as u64;
         let hold_parity = self.scheme == SchemeKind::StreamingRaid;
 
@@ -336,16 +184,16 @@ impl SchemeScheduler for GroupedScheduler {
         // same cycle; the pool's high-water mark then measures the
         // paper's start-of-cycle occupancy (2C per SR stream, Figure 4's
         // profile for SG).
-        for (&id, st) in &mut self.streams {
+        for (id, st) in self.book.iter_mut() {
             let Some(g) = st.group_read_at(cycle, period) else {
                 continue;
             };
-            let blocks = blocks_in_group(st.tracks, g, per_group);
+            let blocks = st.blocks_in(g);
             let failed = self.failed.get(&layout.data_cluster(st.start_cluster, g));
             let parity_ok = failed.is_none_or(|f| !f.contains(&parity_pos));
             // One failed disk and live parity: rebuild on the fly.
             let masked = parity_ok && failed.is_some_and(|f| f.len() == 1);
-            let next = &mut st.reading;
+            let next = &mut st.ext.reading;
             next.reconstructed = None;
             next.hiccups.clear();
             let mut reads = 0usize;
@@ -391,18 +239,18 @@ impl SchemeScheduler for GroupedScheduler {
         // Pass 2 — transmit k′ tracks of the group being sent, one cycle
         // after its read cycle; then commit the group read this cycle.
         // Each stream returns its buffers in one free.
-        for (&id, st) in &mut self.streams {
+        for (id, st) in self.book.iter_mut() {
             let mut freed = 0usize;
             if let Some(rel) = cycle.checked_sub(st.start_cycle + 1) {
                 let g = rel / period;
-                if g < st.groups {
-                    let blocks = u64::from(blocks_in_group(st.tracks, g, per_group));
+                if g < st.groups() {
+                    let blocks = u64::from(st.blocks_in(g));
                     let first = (rel % period) * k_prime;
                     let end = (first + k_prime).min(blocks);
                     for i in first..end {
                         let i = i as u32;
                         let addr = BlockAddr::data(st.object, g, i);
-                        if st.sending.hiccups.contains(&i) {
+                        if st.ext.sending.hiccups.contains(&i) {
                             plan.hiccups.push(LostBlock {
                                 stream: id,
                                 addr,
@@ -414,31 +262,32 @@ impl SchemeScheduler for GroupedScheduler {
                             plan.deliveries.push(Delivery {
                                 stream: id,
                                 addr,
-                                reconstructed: st.sending.reconstructed == Some(i),
+                                reconstructed: st.ext.sending.reconstructed == Some(i),
                             });
                             st.delivered += 1;
                             freed += 1;
                         }
                     }
-                    if g + 1 == st.groups && first < end && end == blocks {
+                    if g + 1 == st.groups() && first < end && end == blocks {
                         // Final block sent: the stream's buffers and slot
                         // are returned below.
                         plan.finished.push(id);
                         continue;
                     }
-                    if hold_parity && st.sending.parity_held {
+                    if hold_parity && st.ext.sending.parity_held {
                         // Streaming RAID (period 1) has now sent the whole
                         // group, so its parity goes with it.
-                        st.sending.parity_held = false;
+                        st.ext.sending.parity_held = false;
                         freed += 1;
                     }
                 }
             }
             if st.group_read_at(cycle, period).is_some() {
-                std::mem::swap(&mut st.sending, &mut st.reading);
-                if !hold_parity && st.sending.parity_held {
+                let sides = &mut st.ext;
+                std::mem::swap(&mut sides.sending, &mut sides.reading);
+                if !hold_parity && sides.sending.parity_held {
                     // Resident now: the parity is no longer needed.
-                    st.sending.parity_held = false;
+                    sides.sending.parity_held = false;
                     freed += 1;
                 }
             }
@@ -446,10 +295,8 @@ impl SchemeScheduler for GroupedScheduler {
                 .free(OwnerId(id.0), freed)
                 .expect("every freed track was charged at its group's read");
         }
-        for id in &plan.finished {
-            let st = self.streams.remove(id).expect("finished streams are live");
-            self.class_load[st.class] -= 1;
-            self.buffers.free_all(OwnerId(id.0));
+        for &id in &plan.finished {
+            self.book.retire(id, &mut self.buffers);
         }
 
         // Sanity: no disk over capacity. Admission control guarantees it.
@@ -462,16 +309,16 @@ impl SchemeScheduler for GroupedScheduler {
     }
 
     fn on_disk_failure(&mut self, disk: DiskId, cycle: u64, _mid_cycle: bool) -> FailureReport {
-        let geometry = *self.catalog.layout().geometry();
+        let geometry = *self.book.layout().geometry();
         let cluster = geometry.cluster_of(disk);
         let pos = geometry.position_in_cluster(disk);
-        self.epoch += 1;
+        self.book.bump_epoch();
         let entry = self.failed.entry(cluster).or_default();
         entry.insert(pos);
         let catastrophic = entry.len() >= 2;
         let data_loss_tracks = if catastrophic {
             let failed = entry.iter().map(|&p| geometry.disk_at(cluster, p));
-            data_tracks_on_disks(&self.catalog, failed)
+            data_tracks_on_disks(self.book.catalog(), failed)
         } else {
             0
         };
@@ -490,10 +337,10 @@ impl SchemeScheduler for GroupedScheduler {
     }
 
     fn on_disk_repair(&mut self, disk: DiskId, cycle: u64) {
-        let geometry = *self.catalog.layout().geometry();
+        let geometry = *self.book.layout().geometry();
         let cluster = geometry.cluster_of(disk);
         let pos = geometry.position_in_cluster(disk);
-        self.epoch += 1;
+        self.book.bump_epoch();
         if let Some(set) = self.failed.get_mut(&cluster) {
             set.remove(&pos);
             if set.is_empty() {
@@ -503,58 +350,22 @@ impl SchemeScheduler for GroupedScheduler {
         }
     }
 
-    fn buffer_in_use(&self) -> usize {
-        self.buffers.in_use()
-    }
-
-    fn buffer_high_water(&self) -> usize {
-        self.buffers.high_water()
-    }
-
     fn plan_stability(&self, cycle: u64) -> PlanStability {
-        // Whole-group reads recur every `read_period` cycles over a
-        // rotation of N_C clusters.
-        let period = self.period() * self.clusters();
-        if !self.failed.is_empty() {
-            return PlanStability { period, stable: 0 };
-        }
-        let mut stable = u64::MAX;
-        for s in self.streams.values() {
-            if cycle <= s.start_cycle {
-                return PlanStability { period, stable: 0 };
-            }
-            // End the window before the final (possibly partial) group
-            // is read at start + (groups − 1)·read_period.
-            let final_read = s.start_cycle + (s.groups - 1) * self.period();
-            stable = stable.min(final_read.saturating_sub(cycle));
-        }
-        PlanStability { period, stable }
+        self.book.stability(cycle, self.failed.is_empty())
     }
 
     fn fast_forward(&mut self, cycles: u64) {
         debug_assert!(self.failed.is_empty(), "fast_forward in degraded mode");
-        debug_assert_eq!(
-            cycles % (self.period() * self.clusters()),
-            0,
-            "not a whole rotation"
-        );
-        self.next_cycle += cycles;
-        // k′ tracks delivered per stream per steady cycle; the group
-        // states and the buffer charge are periodic, hence unchanged.
-        let k_prime = self.config.k_prime as u64;
-        for s in self.streams.values_mut() {
-            s.delivered += cycles * k_prime;
-        }
-    }
-
-    fn plan_epoch(&self) -> u64 {
-        self.epoch
+        // The group states and the buffer charge are periodic, hence
+        // unchanged.
+        self.book.fast_forward(cycles);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AdmissionError;
     use mms_disk::{Bandwidth, DiskParams};
     use mms_layout::{BandwidthClass, Geometry};
 
@@ -731,7 +542,7 @@ mod tests {
             assert_eq!(p0.total_reads(), 4, "{scheme}");
             assert!(p0.reads_on(DiskId(disk)).is_empty());
             let (mut delivered, mut reconstructed) = (0, 0);
-            for t in 1..=s.period() {
+            for t in 1..=s.config().read_period() as u64 {
                 let p = s.plan_cycle(t);
                 assert!(p.hiccups.is_empty(), "{scheme} cycle {t}");
                 assert!(p.deliveries.iter().all(|d| d.stream == id));
@@ -752,7 +563,7 @@ mod tests {
             // 4 data reads, no parity read possible.
             assert_eq!(s.plan_cycle(0).total_reads(), 4);
             let mut delivered = 0;
-            for t in 1..=s.period() {
+            for t in 1..=s.config().read_period() as u64 {
                 let p = s.plan_cycle(t);
                 assert!(p.hiccups.is_empty(), "{scheme}");
                 delivered += p.deliveries.len();
@@ -774,7 +585,7 @@ mod tests {
             assert!(r.data_loss_tracks > 0);
             s.plan_cycle(0);
             let (mut hiccups, mut delivered) = (0, 0);
-            for t in 1..=s.period() {
+            for t in 1..=s.config().read_period() as u64 {
                 let p = s.plan_cycle(t);
                 hiccups += p.hiccups.len();
                 delivered += p.deliveries.len();

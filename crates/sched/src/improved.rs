@@ -11,10 +11,10 @@
 
 use crate::cycle::CycleConfig;
 use crate::plan::{CyclePlan, Delivery, LossReason, LostBlock, PlannedRead, ReadPurpose};
-use crate::streams::{StreamId, StreamInfo};
+use crate::streams::{book_backed_methods, SlotRule, StreamBook, StreamId};
 use crate::traits::{
-    data_tracks_on_disks, emit_mode_transition, AdmissionError, FailureReport, PlanStability,
-    SchemeKind, SchemeScheduler,
+    data_tracks_on_disks, emit_mode_transition, FailureReport, PlanStability, SchemeKind,
+    SchemeScheduler,
 };
 use mms_buffer::{BufferPool, OwnerId};
 use mms_disk::DiskId;
@@ -46,25 +46,16 @@ fn incoming_entry(incoming: &mut [IncomingEntry], sid: StreamId) -> Option<&mut 
         .filter(|e| e.live)
 }
 
-/// Per-stream state.
-#[derive(Debug, Clone)]
-struct IbStream {
-    object: ObjectId,
-    start_cluster: u32,
-    groups: u64,
-    tracks: u64,
-    start_cycle: u64,
-    class: u32,
-    delivered: u64,
-    lost: u64,
-    /// Block indices of the group read last cycle to be delivered
-    /// reconstructed this cycle.
-    pending_reconstructed: Vec<u32>,
-    /// Block indices of the group read last cycle that hiccup this
-    /// cycle, with the reason.
-    pending_hiccups: Vec<(u32, LossReason)>,
-    /// Buffer tracks charged for the group read last cycle.
-    pending_buffered: usize,
+/// What reading a stream's group last cycle left for this cycle's
+/// delivery.
+#[derive(Debug, Clone, Default)]
+struct Pending {
+    /// Block indices to be delivered reconstructed.
+    reconstructed: Vec<u32>,
+    /// Block indices that hiccup, with the reason.
+    hiccups: Vec<(u32, LossReason)>,
+    /// Buffer tracks charged for the group.
+    buffered: usize,
 }
 
 /// The Improved-bandwidth scheduler (`k = k' = C−1`, clusters of `C−1`
@@ -72,25 +63,17 @@ struct IbStream {
 #[derive(Debug)]
 pub struct ImprovedScheduler {
     config: CycleConfig,
-    catalog: Catalog<ImprovedLayout>,
-    streams: BTreeMap<StreamId, IbStream>,
-    class_load: Vec<usize>,
+    /// A whole group every cycle; a stream holds its class slot until it
+    /// finishes, is dropped, or is released before its first read.
+    book: StreamBook<ImprovedLayout, Pending>,
     /// Failed disks (positions) per cluster.
     failed: BTreeMap<ClusterId, BTreeSet<u32>>,
-    /// Per-disk slots held back for failure absorption (Section 4's
-    /// "some small amount of idle capacity could be reserved").
-    reserved_slots: usize,
     /// Section 4's "sophisticated scheduler": under lightly loaded
     /// conditions, read parity during normal operation so even a
     /// mid-cycle failure is masked; prefetches are skipped on any disk
     /// with no idle slots, so load always wins.
     parity_prefetch: bool,
     buffers: BufferPool,
-    next_stream: u64,
-    next_cycle: u64,
-    /// Plan epoch: bumped by admit/release/failure/repair (see
-    /// [`SchemeScheduler::plan_epoch`]).
-    epoch: u64,
     /// Clusters visited by the most recent shift-to-the-right cascade.
     last_shift_path: Vec<ClusterId>,
     /// Set while a failure happened mid-cycle and the next planned cycle
@@ -102,9 +85,9 @@ pub struct ImprovedScheduler {
     prefetch_scratch: Vec<StreamId>,
     /// Reusable parity work queue for the shift-to-the-right cascade.
     parity_scratch: Vec<(StreamId, ObjectId, u32, u64)>,
-    /// Recycled `pending_reconstructed` vectors (swapped per read cycle).
+    /// Recycled `Pending::reconstructed` vectors (swapped per read cycle).
     rec_pool: Vec<Vec<u32>>,
-    /// Recycled `pending_hiccups` vectors (swapped per read cycle).
+    /// Recycled `Pending::hiccups` vectors (swapped per read cycle).
     hic_pool: Vec<Vec<(u32, LossReason)>>,
     /// Reusable pass-1 staging table (sorted by stream id).
     incoming_scratch: Vec<IncomingEntry>,
@@ -136,19 +119,13 @@ impl ImprovedScheduler {
             reserved_slots < config.slots_per_disk(),
             "reserve must leave at least one usable slot"
         );
-        let classes = catalog.layout().geometry().clusters() as usize;
+        let usable = config.slots_per_disk() - reserved_slots;
         ImprovedScheduler {
+            book: StreamBook::new(catalog, 1, usable, SlotRule::UntilRetired),
             config,
-            catalog,
-            streams: BTreeMap::new(),
-            class_load: vec![0; classes],
             failed: BTreeMap::new(),
-            reserved_slots,
             parity_prefetch: false,
             buffers: BufferPool::unbounded(),
-            next_stream: 0,
-            next_cycle: 0,
-            epoch: 0,
             last_shift_path: Vec::new(),
             midcycle_pending: None,
             ids_scratch: Vec::new(),
@@ -163,7 +140,7 @@ impl ImprovedScheduler {
     /// The catalog.
     #[must_use]
     pub fn catalog(&self) -> &Catalog<ImprovedLayout> {
-        &self.catalog
+        self.book.catalog()
     }
 
     /// Clusters visited by the most recent shift cascade (diagnostic).
@@ -187,16 +164,7 @@ impl ImprovedScheduler {
     }
 
     fn clusters(&self) -> u64 {
-        u64::from(self.catalog.layout().geometry().clusters())
-    }
-
-    fn usable_slots(&self) -> usize {
-        self.config.slots_per_disk() - self.reserved_slots
-    }
-
-    fn blocks_in_group(&self, tracks: u64, g: u64) -> u32 {
-        let bpg = u64::from(self.catalog.layout().blocks_per_group());
-        (tracks - g * bpg).min(bpg) as u32
+        u64::from(self.book.layout().geometry().clusters())
     }
 
     /// Register a newly staged object in the catalog (the tertiary →
@@ -205,128 +173,35 @@ impl ImprovedScheduler {
         &mut self,
         object: mms_layout::MediaObject,
     ) -> Result<(), mms_layout::CatalogError> {
-        self.catalog.add(object).map(|_| ())
+        self.book.register_object(object)
     }
 
     /// Retire an object from the catalog (the purge path), refusing while
     /// any stream is still delivering it.
     pub fn retire_object(&mut self, object: ObjectId) -> Result<(), crate::traits::RetireError> {
-        let streams = self.streams.values().filter(|s| s.object == object).count();
-        if streams > 0 {
-            return Err(crate::traits::RetireError::InUse { object, streams });
-        }
-        self.catalog
-            .remove(object)
-            .map(|_| ())
-            .map_err(|_| crate::traits::RetireError::NotFound { object })
+        self.book.retire_object(object)
     }
 }
 
 impl SchemeScheduler for ImprovedScheduler {
+    book_backed_methods!();
+
     fn scheme(&self) -> SchemeKind {
         SchemeKind::ImprovedBandwidth
     }
 
-    fn config(&self) -> &CycleConfig {
-        &self.config
-    }
-
-    fn admit(&mut self, object: ObjectId, at_cycle: u64) -> Result<StreamId, AdmissionError> {
-        assert!(at_cycle >= self.next_cycle, "cannot admit into the past");
-        let placed = self
-            .catalog
-            .get(object)
-            .map_err(|_| AdmissionError::UnknownObject { object })?;
-        let nc = self.clusters();
-        let class = ((u64::from(placed.start_cluster) + nc - (at_cycle % nc)) % nc) as usize;
-        if self.class_load[class] >= self.usable_slots() {
-            return Err(AdmissionError::AtCapacity {
-                active: self.streams.len(),
-                limit: self.stream_capacity(),
-            });
-        }
-        let id = StreamId(self.next_stream);
-        self.next_stream += 1;
-        self.class_load[class] += 1;
-        self.epoch += 1;
-        self.streams.insert(
-            id,
-            IbStream {
-                object,
-                start_cluster: placed.start_cluster,
-                groups: placed.groups,
-                tracks: placed.object.tracks,
-                start_cycle: at_cycle,
-                class: class as u32,
-                delivered: 0,
-                lost: 0,
-                pending_reconstructed: Vec::new(),
-                pending_hiccups: Vec::new(),
-                pending_buffered: 0,
-            },
-        );
-        Ok(id)
-    }
-
-    fn stream_capacity(&self) -> usize {
-        self.usable_slots() * self.clusters() as usize
-    }
-
-    fn active_streams(&self) -> usize {
-        self.streams.len()
-    }
-
-    fn stream_info(&self, id: StreamId) -> Option<StreamInfo> {
-        self.streams.get(&id).map(|s| StreamInfo {
-            id,
-            object: s.object,
-            admitted_at: s.start_cycle,
-            groups: s.groups,
-            next_group: self.next_cycle.saturating_sub(s.start_cycle).min(s.groups),
-            delivered_tracks: s.delivered,
-            lost_tracks: s.lost,
-        })
-    }
-
-    fn release(&mut self, id: StreamId) -> bool {
-        let Some(st) = self.streams.get_mut(&id) else {
-            return false;
-        };
-        // One group is read per cycle, so `elapsed` groups are resident.
-        let elapsed = self.next_cycle.saturating_sub(st.start_cycle);
-        if elapsed >= st.groups {
-            // Every group is already read: nothing to cut.
-            return false;
-        }
-        self.epoch += 1;
-        if elapsed == 0 {
-            // Nothing read yet: retire immediately, returning the slot.
-            let class = st.class as usize;
-            self.class_load[class] -= 1;
-            self.streams.remove(&id);
-            self.buffers.free_all(OwnerId(id.0));
-            return true;
-        }
-        // Truncate to what was read; the normal finish path in pass 3
-        // delivers the final resident group and retires the stream.
-        st.groups = st.groups.min(elapsed);
-        true
-    }
-
     fn plan_cycle_into(&mut self, cycle: u64, plan: &mut CyclePlan) {
-        assert_eq!(cycle, self.next_cycle, "cycles must be planned in order");
-        self.next_cycle += 1;
-        plan.reset(cycle);
+        self.book.begin_cycle(cycle, plan);
         self.last_shift_path.clear();
-        let layout = *self.catalog.layout();
+        let layout = *self.book.layout();
         let geometry = *layout.geometry();
         let midcycle_disk = self.midcycle_pending.take();
 
         // Snapshot stream ids into the reusable scratch so the passes
-        // can mutate `self.streams` without holding a borrow on it.
+        // can mutate the book without holding a borrow on it.
         let mut ids = std::mem::take(&mut self.ids_scratch);
         ids.clear();
-        ids.extend(self.streams.keys().copied());
+        ids.extend(self.book.ids());
 
         // Pass 1 — base reads and allocations: each stream reads its
         // whole group of C−1 data tracks from its current cluster;
@@ -340,23 +215,17 @@ impl SchemeScheduler for ImprovedScheduler {
         incoming.clear();
         for id in ids.iter().copied() {
             // Copy the scalar fields out of the stream entry instead of
-            // cloning it: the pending_* vectors make a full clone allocate.
-            let (object, start_cluster, groups, tracks, start_cycle) = {
-                let s = &self.streams[&id];
-                (s.object, s.start_cluster, s.groups, s.tracks, s.start_cycle)
+            // cloning it: the pending vectors make a full clone allocate.
+            let s = &self.book[id];
+            let (object, start_cluster) = (s.object, s.start_cluster);
+            let Some(read_group) = s.group_read_at(cycle, 1) else {
+                continue;
             };
-            if cycle < start_cycle {
-                continue;
-            }
-            let read_group = cycle - start_cycle;
-            if read_group >= groups {
-                continue;
-            }
+            let blocks = s.blocks_in(read_group);
             let mut reconstructed = self.rec_pool.pop().unwrap_or_default();
             reconstructed.clear();
             let mut hiccups = self.hic_pool.pop().unwrap_or_default();
             hiccups.clear();
-            let blocks = self.blocks_in_group(tracks, read_group);
             let cluster = layout.data_cluster(start_cluster, read_group);
             let failed = self.failed.get(&cluster);
             let mut reads = 0usize;
@@ -424,7 +293,7 @@ impl SchemeScheduler for ImprovedScheduler {
                 }
                 continue;
             }
-            let Some(start_cluster) = self.streams.get(&sid).map(|s| s.start_cluster) else {
+            let Some(start_cluster) = self.book.get(sid).map(|s| s.start_cluster) else {
                 continue; // already dropped/finished
             };
             let pp = layout.parity_placement(start_cluster, group);
@@ -533,7 +402,7 @@ impl SchemeScheduler for ImprovedScheduler {
             ids2.extend(incoming.iter().filter(|e| e.live).map(|e| e.stream));
             for id in ids2.iter().copied() {
                 let (object, start_cluster, start_cycle) = {
-                    let s = &self.streams[&id];
+                    let s = &self.book[id];
                     (s.object, s.start_cluster, s.start_cycle)
                 };
                 let read_group = cycle - start_cycle;
@@ -587,30 +456,16 @@ impl SchemeScheduler for ImprovedScheduler {
 
         // Pass 3 — deliveries of last cycle's groups and frees.
         for id in ids.iter().copied() {
-            // Scalar copies again: the mutable re-borrow below must not
-            // overlap a borrow of the stream entry.
-            let Some((object, groups, tracks, start_cycle)) = self
-                .streams
-                .get(&id)
-                .map(|s| (s.object, s.groups, s.tracks, s.start_cycle))
-            else {
+            let Some(st) = self.book.get_mut(id) else {
                 continue;
             };
-            if cycle < start_cycle + 1 {
+            let Some(g) = cycle.checked_sub(1).and_then(|t| st.group_read_at(t, 1)) else {
                 continue;
-            }
-            let g = cycle - start_cycle - 1;
-            if g >= groups {
-                continue;
-            }
-            let blocks = self.blocks_in_group(tracks, g);
-            let st = self
-                .streams
-                .get_mut(&id)
-                .expect("pass 3 checks the stream is still live above");
-            for i in 0..blocks {
-                let addr = BlockAddr::data(object, g, i);
-                if let Some(&(_, reason)) = st.pending_hiccups.iter().find(|(ix, _)| *ix == i) {
+            };
+            let last = g + 1 == st.groups();
+            for i in 0..st.blocks_in(g) {
+                let addr = BlockAddr::data(st.object, g, i);
+                if let Some(&(_, reason)) = st.ext.hiccups.iter().find(|(ix, _)| *ix == i) {
                     plan.hiccups.push(LostBlock {
                         stream: id,
                         addr,
@@ -622,23 +477,19 @@ impl SchemeScheduler for ImprovedScheduler {
                     plan.deliveries.push(Delivery {
                         stream: id,
                         addr,
-                        reconstructed: st.pending_reconstructed.contains(&i),
+                        reconstructed: st.ext.reconstructed.contains(&i),
                     });
                     st.delivered += 1;
                 }
             }
             // Release exactly what the group charged when it was read.
-            let charged = st.pending_buffered;
-            st.pending_buffered = 0;
+            let charged = std::mem::take(&mut st.ext.buffered);
             self.buffers
                 .free(OwnerId(id.0), charged)
-                .expect("pending_buffered tracks exactly what the read cycle charged");
-            if g + 1 == st.groups {
+                .expect("Pending::buffered tracks exactly what the read cycle charged");
+            if last {
                 plan.finished.push(id);
-                let class = st.class as usize;
-                self.class_load[class] -= 1;
-                self.streams.remove(&id);
-                self.buffers.free_all(OwnerId(id.0));
+                self.book.retire(id, &mut self.buffers);
             }
         }
 
@@ -649,10 +500,10 @@ impl SchemeScheduler for ImprovedScheduler {
             if !e.live {
                 continue;
             }
-            if let Some(st) = self.streams.get_mut(&e.stream) {
-                let old_rec = std::mem::replace(&mut st.pending_reconstructed, e.reconstructed);
-                let old_hic = std::mem::replace(&mut st.pending_hiccups, e.hiccups);
-                st.pending_buffered = e.charged;
+            if let Some(st) = self.book.get_mut(e.stream) {
+                let old_rec = std::mem::replace(&mut st.ext.reconstructed, e.reconstructed);
+                let old_hic = std::mem::replace(&mut st.ext.hiccups, e.hiccups);
+                st.ext.buffered = e.charged;
                 self.rec_pool.push(old_rec);
                 self.hic_pool.push(old_hic);
             } else {
@@ -665,10 +516,10 @@ impl SchemeScheduler for ImprovedScheduler {
     }
 
     fn on_disk_failure(&mut self, disk: DiskId, cycle: u64, mid_cycle: bool) -> FailureReport {
-        let geometry = *self.catalog.layout().geometry();
+        let geometry = *self.book.layout().geometry();
         let cluster = geometry.cluster_of(disk);
         let pos = geometry.position_in_cluster(disk);
-        self.epoch += 1;
+        self.book.bump_epoch();
         let entry = self.failed.entry(cluster).or_default();
         entry.insert(pos);
         // A failure in each of two *adjacent* clusters also loses data in
@@ -703,7 +554,7 @@ impl SchemeScheduler for ImprovedScheduler {
                     .into_iter()
                     .flat_map(move |set| set.iter().map(move |&p| geometry.disk_at(c, p)))
             });
-            data_tracks_on_disks(&self.catalog, failed)
+            data_tracks_on_disks(self.book.catalog(), failed)
         } else {
             0
         };
@@ -722,10 +573,10 @@ impl SchemeScheduler for ImprovedScheduler {
     }
 
     fn on_disk_repair(&mut self, disk: DiskId, cycle: u64) {
-        let geometry = *self.catalog.layout().geometry();
+        let geometry = *self.book.layout().geometry();
         let cluster = geometry.cluster_of(disk);
         let pos = geometry.position_in_cluster(disk);
-        self.epoch += 1;
+        self.book.bump_epoch();
         if let Some(set) = self.failed.get_mut(&cluster) {
             set.remove(&pos);
             if set.is_empty() {
@@ -735,57 +586,24 @@ impl SchemeScheduler for ImprovedScheduler {
         }
     }
 
-    fn buffer_in_use(&self) -> usize {
-        self.buffers.in_use()
-    }
-
-    fn buffer_high_water(&self) -> usize {
-        self.buffers.high_water()
-    }
-
     fn plan_stability(&self, cycle: u64) -> PlanStability {
-        // One whole group per cycle, rotating over N_C clusters (the
-        // prefetch pass is equally periodic: one parity read per stream
-        // per cycle on the next cluster).
-        let period = self.clusters();
-        if !self.failed.is_empty() || self.midcycle_pending.is_some() {
-            return PlanStability { period, stable: 0 };
-        }
-        let mut stable = u64::MAX;
-        for s in self.streams.values() {
-            if cycle <= s.start_cycle {
-                return PlanStability { period, stable: 0 };
-            }
-            // The final (possibly partial) group is read at
-            // start + groups − 1; end the window before it.
-            stable = stable.min((s.start_cycle + s.groups - 1).saturating_sub(cycle));
-        }
-        PlanStability { period, stable }
+        // The prefetch pass is as periodic as the reads: one parity read
+        // per stream per cycle on the next cluster.
+        let healthy = self.failed.is_empty() && self.midcycle_pending.is_none();
+        self.book.stability(cycle, healthy)
     }
 
     fn fast_forward(&mut self, cycles: u64) {
         debug_assert!(self.failed.is_empty(), "fast_forward in degraded mode");
-        debug_assert_eq!(cycles % self.clusters(), 0, "not a whole rotation");
-        self.next_cycle += cycles;
-        // One full group delivered per stream per steady cycle; the
-        // pending_* lists stay empty and pending_buffered is periodic.
-        let bpg = u64::from(self.catalog.layout().blocks_per_group());
-        for s in self.streams.values_mut() {
-            s.delivered += cycles * bpg;
-        }
-    }
-
-    fn plan_epoch(&self) -> u64 {
-        self.epoch
+        // The pending lists stay empty and the buffer charge is periodic.
+        self.book.fast_forward(cycles);
     }
 }
 
 impl ImprovedScheduler {
     /// Terminate a stream (degradation of service).
     fn drop_stream(&mut self, id: StreamId, cycle: u64, plan: &mut CyclePlan) {
-        if let Some(st) = self.streams.remove(&id) {
-            self.class_load[st.class as usize] -= 1;
-            self.buffers.free_all(OwnerId(id.0));
+        if let Some(st) = self.book.retire(id, &mut self.buffers) {
             plan.hiccups.push(LostBlock {
                 stream: id,
                 addr: BlockAddr::data(st.object, 0, 0),
@@ -917,7 +735,7 @@ mod tests {
         // parity read for cluster 0's failure displaces a local read,
         // which in turn needs parity from cluster 2.
         let mut s = make(12, 5, 1, &[(0, 120), (1, 120), (2, 120)]);
-        let slots = s.usable_slots();
+        let slots = s.config().slots_per_disk() - 1;
         // Saturate all classes: admit `slots` streams per object (objects
         // start on clusters 0, 1, 2 round-robin).
         for obj in 0..3u64 {
@@ -943,7 +761,7 @@ mod tests {
         // Zero reserve: admission fills every slot; a failure has nowhere
         // to shift, so some stream must be dropped.
         let mut s = make(8, 5, 0, &[(0, 120), (1, 120)]);
-        let slots = s.usable_slots();
+        let slots = s.config().slots_per_disk();
         for obj in 0..2u64 {
             for _ in 0..slots {
                 s.admit(ObjectId(obj), 0).unwrap();
@@ -1042,7 +860,7 @@ mod prefetch_tests {
         // Saturate the cluster so no idle slots remain: prefetch must
         // not displace any data read.
         let mut s = make(true);
-        let slots = s.usable_slots();
+        let slots = s.config().slots_per_disk() - 1;
         for _ in 0..slots {
             s.admit(ObjectId(0), 0).unwrap();
         }

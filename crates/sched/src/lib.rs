@@ -26,6 +26,17 @@
 //! r·τ_trk`), which yields the per-disk, per-cycle **slot** capacity used
 //! for admission control.
 //!
+//! They also share one stream book (`streams.rs`): a stream reads a group
+//! every `period` cycles, so its admission class (read phase × cluster
+//! trajectory), the stream capacity (Eqs. 8/9), the cut point of an early
+//! release, the event-horizon stability window and fast-forward are the
+//! same functions of the period, `N_C` and the slots per class for every
+//! scheme. The book owns the catalog, the streams and those rules; each
+//! scheduler keeps only its own per-stream planning state and failure
+//! handling. Grouped and Improved-bandwidth streams hold their class
+//! slot until they finish; Non-clustered and baseline streams return it
+//! with their last read.
+//!
 //! Each scheduler exposes the same [`SchemeScheduler`] interface: admit
 //! streams, plan one cycle's reads/deliveries, and react to disk failures
 //! and repairs. Failure reactions implement the paper's mechanisms

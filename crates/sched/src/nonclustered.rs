@@ -9,8 +9,8 @@
 
 use crate::cycle::CycleConfig;
 use crate::plan::{CyclePlan, Delivery, LossReason, LostBlock, PlannedRead, ReadPurpose};
-use crate::streams::{StreamId, StreamInfo};
-use crate::traits::{AdmissionError, FailureReport, PlanStability, SchemeKind, SchemeScheduler};
+use crate::streams::{book_backed_methods, SlotRule, Stream, StreamBook, StreamId};
+use crate::traits::{FailureReport, PlanStability, SchemeKind, SchemeScheduler};
 use mms_buffer::{BufferPool, BufferServerPool, OwnerId};
 use mms_disk::DiskId;
 use mms_layout::{BlockAddr, Catalog, ClusterId, ClusteredLayout, Layout, ObjectId};
@@ -44,19 +44,10 @@ impl TransitionPolicy {
     }
 }
 
-/// Per-stream state. All fields are scalars, so the snapshot taken by
-/// `plan_cycle_into` is a plain copy — no heap traffic on the hot path.
-#[derive(Debug, Clone, Copy)]
-struct NcStream {
-    object: ObjectId,
-    start_cluster: u32,
-    groups: u64,
-    tracks: u64,
-    start_cycle: u64,
-    class: (u32, u32),
-    delivered: u64,
-    lost: u64,
-}
+/// A Non-clustered stream carries no state of its own beyond the
+/// book's scalars, so the snapshot taken by `plan_cycle_into` is a plain
+/// copy — no heap traffic on the hot path.
+type NcStream = Stream<()>;
 
 /// Degraded-cluster state. Failure positions beyond the first are kept
 /// as a bitmask (positions are within one cluster, bounded well below
@@ -88,9 +79,13 @@ impl Degraded {
 #[derive(Debug)]
 pub struct NonClusteredScheduler {
     config: CycleConfig,
-    catalog: Catalog<ClusteredLayout>,
     policy: TransitionPolicy,
-    streams: BTreeMap<StreamId, NcStream>,
+    /// One block per cycle, so a group is read over `bpg` cycles; a
+    /// stream's slot is returned with its last read. A stream can leave
+    /// the book (early release, buffer-server exhaustion) with transition
+    /// state below still keyed by it: every path reading that state
+    /// tolerates unknown streams.
+    book: StreamBook<ClusteredLayout, ()>,
     degraded: BTreeMap<ClusterId, Degraded>,
     /// Blocks that will never be delivered, keyed by delivery cycle.
     pending_losses: BTreeMap<u64, Vec<LostBlock>>,
@@ -114,10 +109,6 @@ pub struct NonClusteredScheduler {
     server_frees: BTreeMap<u64, Vec<(u32, StreamId, usize)>>,
     buffers: BufferPool,
     servers: BufferServerPool,
-    next_stream: u64,
-    next_cycle: u64,
-    /// Plan epoch: bumped by admissions, releases, failures and repairs.
-    epoch: u64,
     /// Reusable per-cycle id snapshot (plan_cycle_into must not allocate).
     ids_scratch: Vec<StreamId>,
     /// Reusable list of blocks displaced past slot capacity this cycle.
@@ -157,11 +148,16 @@ impl NonClusteredScheduler {
         // C(C+1)/2 tracks per C−1 streams, bounded by slots per class.
         let c = catalog.layout().geometry().group_size() as usize;
         let per_server = (c * (c + 1) / 2) * config.slots_per_disk();
+        let bpg = u64::from(catalog.layout().blocks_per_group());
         NonClusteredScheduler {
+            book: StreamBook::new(
+                catalog,
+                bpg,
+                config.slots_per_disk(),
+                SlotRule::UntilLastRead,
+            ),
             config,
-            catalog,
             policy,
-            streams: BTreeMap::new(),
             degraded: BTreeMap::new(),
             pending_losses: BTreeMap::new(),
             suppressed: BTreeSet::new(),
@@ -171,9 +167,6 @@ impl NonClusteredScheduler {
             server_frees: BTreeMap::new(),
             buffers: BufferPool::unbounded(),
             servers: BufferServerPool::new(buffer_servers, per_server),
-            next_stream: 0,
-            next_cycle: 0,
-            epoch: 0,
             ids_scratch: Vec::new(),
             displaced_scratch: Vec::new(),
             displaced_parity_scratch: Vec::new(),
@@ -186,7 +179,7 @@ impl NonClusteredScheduler {
     /// The catalog.
     #[must_use]
     pub fn catalog(&self) -> &Catalog<ClusteredLayout> {
-        &self.catalog
+        self.book.catalog()
     }
 
     /// The transition policy in force.
@@ -199,46 +192,6 @@ impl NonClusteredScheduler {
     #[must_use]
     pub fn servers(&self) -> &BufferServerPool {
         &self.servers
-    }
-
-    fn bpg(&self) -> u64 {
-        u64::from(self.catalog.layout().blocks_per_group())
-    }
-
-    fn blocks_in_group(&self, tracks: u64, g: u64) -> u32 {
-        let bpg = self.bpg();
-        (tracks - g * bpg).min(bpg) as u32
-    }
-
-    /// Admission class (the same phase × trajectory classes as
-    /// [`GroupedScheduler`](crate::GroupedScheduler)'s): streams with equal
-    /// read-phase residue and cluster trajectory contend for the same
-    /// slots at every cycle.
-    fn class_of(&self, h: u32, at_cycle: u64) -> (u32, u32) {
-        let period = self.bpg();
-        let nc = u64::from(self.catalog.layout().geometry().clusters());
-        let r = (at_cycle % period) as u32;
-        let q = at_cycle / period;
-        let psi = ((u64::from(h) + nc - (q % nc)) % nc) as u32;
-        (r, psi)
-    }
-
-    /// Stream's group-start cycle for group `g`.
-    fn group_start(&self, s: &NcStream, g: u64) -> u64 {
-        s.start_cycle + g * self.bpg()
-    }
-
-    /// The stream's (group, index) position at cycle `t`, if active.
-    fn position_at(&self, s: &NcStream, t: u64) -> Option<(u64, u32)> {
-        if t < s.start_cycle {
-            return None;
-        }
-        let rel = t - s.start_cycle;
-        let g = rel / self.bpg();
-        if g >= s.groups {
-            return None;
-        }
-        Some((g, (rel % self.bpg()) as u32))
     }
 
     fn record_loss(&mut self, loss: LostBlock) {
@@ -258,7 +211,7 @@ impl NonClusteredScheduler {
     /// state)? True when its cluster is degraded and either the policy is
     /// simple or the group starts after the C-cycle transition window.
     fn group_at_a_time(&self, cluster: ClusterId, group_start: u64) -> bool {
-        let parity_pos = self.catalog.layout().geometry().disks_per_cluster() - 1;
+        let parity_pos = self.book.layout().geometry().disks_per_cluster() - 1;
         match self.degraded.get(&cluster) {
             None => false,
             Some(d) => {
@@ -272,7 +225,7 @@ impl NonClusteredScheduler {
                     match self.policy {
                         TransitionPolicy::Simple => true,
                         TransitionPolicy::Delayed => {
-                            let window = u64::from(self.catalog.layout().geometry().group_size());
+                            let window = u64::from(self.book.layout().geometry().group_size());
                             group_start >= d.since + window
                         }
                     }
@@ -286,14 +239,14 @@ impl NonClusteredScheduler {
         if self.policy != TransitionPolicy::Delayed {
             return false;
         }
-        let parity_pos = self.catalog.layout().geometry().disks_per_cluster() - 1;
+        let parity_pos = self.book.layout().geometry().disks_per_cluster() - 1;
         match self.degraded.get(&cluster) {
             None => false,
             Some(d) => {
                 if d.failed_pos == parity_pos {
                     return false;
                 }
-                let window = u64::from(self.catalog.layout().geometry().group_size());
+                let window = u64::from(self.book.layout().geometry().group_size());
                 group_start >= d.since && group_start < d.since + window
             }
         }
@@ -311,9 +264,9 @@ impl NonClusteredScheduler {
         degraded: &Degraded,
         parity_alive: bool,
     ) {
-        let layout = *self.catalog.layout();
+        let layout = *self.book.layout();
         let geometry = *layout.geometry();
-        let blocks = self.blocks_in_group(s.tracks, g);
+        let blocks = s.blocks_in(g);
         let failed_positions = degraded.all_failed_mask();
         // A single data-disk failure with live parity is reconstructable;
         // anything more loses the affected blocks.
@@ -417,10 +370,10 @@ impl NonClusteredScheduler {
         since: u64,
         failed_pos: u32,
     ) {
-        let layout = *self.catalog.layout();
+        let layout = *self.book.layout();
         let geometry = *layout.geometry();
-        let blocks = self.blocks_in_group(s.tracks, g);
-        let t_g = self.group_start(s, g);
+        let blocks = s.blocks_in(g);
+        let t_g = s.slot_cycle(g, 0);
         for q in p..blocks {
             let delivery_cycle = t_g + u64::from(q) + 1;
             let addr = BlockAddr::data(s.object, g, q);
@@ -460,8 +413,8 @@ impl NonClusteredScheduler {
         p: u32,
         failed_pos: u32,
     ) {
-        let blocks = self.blocks_in_group(s.tracks, g);
-        let t_g = self.group_start(s, g);
+        let blocks = s.blocks_in(g);
+        let t_g = s.slot_cycle(g, 0);
         // Only the block on the failed disk is lost (if not yet read);
         // everything else keeps its original schedule.
         if failed_pos < blocks && failed_pos >= p {
@@ -487,9 +440,9 @@ impl NonClusteredScheduler {
         failed_pos: u32,
         parity_alive: bool,
     ) {
-        let layout = *self.catalog.layout();
-        let blocks = self.blocks_in_group(s.tracks, g);
-        let t_g = self.group_start(s, g);
+        let layout = *self.book.layout();
+        let blocks = s.blocks_in(g);
+        let t_g = s.slot_cycle(g, 0);
         if failed_pos >= blocks {
             return; // failed disk not used by this (partial) group
         }
@@ -562,144 +515,41 @@ impl NonClusteredScheduler {
         &mut self,
         object: mms_layout::MediaObject,
     ) -> Result<(), mms_layout::CatalogError> {
-        self.catalog.add(object).map(|_| ())
+        self.book.register_object(object)
     }
 
     /// Retire an object from the catalog (the purge path), refusing while
     /// any stream is still delivering it.
     pub fn retire_object(&mut self, object: ObjectId) -> Result<(), crate::traits::RetireError> {
-        let streams = self.streams.values().filter(|s| s.object == object).count();
-        if streams > 0 {
-            return Err(crate::traits::RetireError::InUse { object, streams });
-        }
-        self.catalog
-            .remove(object)
-            .map(|_| ())
-            .map_err(|_| crate::traits::RetireError::NotFound { object })
+        self.book.retire_object(object)
     }
 }
 
 impl SchemeScheduler for NonClusteredScheduler {
+    book_backed_methods!();
+
     fn scheme(&self) -> SchemeKind {
         SchemeKind::NonClustered
     }
 
-    fn config(&self) -> &CycleConfig {
-        &self.config
-    }
-
-    fn admit(&mut self, object: ObjectId, at_cycle: u64) -> Result<StreamId, AdmissionError> {
-        assert!(at_cycle >= self.next_cycle, "cannot admit into the past");
-        let placed = self
-            .catalog
-            .get(object)
-            .map_err(|_| AdmissionError::UnknownObject { object })?;
-        let class = self.class_of(placed.start_cluster, at_cycle);
-        // Count only class members that still have reads at or after the
-        // admission cycle: a stream whose final read has already been
-        // issued no longer occupies its slot.
-        let bpg = self.bpg();
-        let load = self
-            .streams
-            .values()
-            .filter(|s| s.class == class && s.start_cycle + s.groups * bpg > at_cycle)
-            .count();
-        if load >= self.config.slots_per_disk() {
-            return Err(AdmissionError::AtCapacity {
-                active: self.streams.len(),
-                limit: self.stream_capacity(),
-            });
-        }
-        let id = StreamId(self.next_stream);
-        self.next_stream += 1;
-        self.epoch += 1;
-        self.streams.insert(
-            id,
-            NcStream {
-                object,
-                start_cluster: placed.start_cluster,
-                groups: placed.groups,
-                tracks: placed.object.tracks,
-                start_cycle: at_cycle,
-                class,
-                delivered: 0,
-                lost: 0,
-            },
-        );
-        Ok(id)
-    }
-
-    fn stream_capacity(&self) -> usize {
-        self.config.slots_per_disk()
-            * self.bpg() as usize
-            * self.catalog.layout().geometry().clusters() as usize
-    }
-
-    fn active_streams(&self) -> usize {
-        self.streams.len()
-    }
-
-    fn stream_info(&self, id: StreamId) -> Option<StreamInfo> {
-        self.streams.get(&id).map(|s| StreamInfo {
-            id,
-            object: s.object,
-            admitted_at: s.start_cycle,
-            groups: s.groups,
-            next_group: (self.next_cycle.saturating_sub(s.start_cycle) / self.bpg()).min(s.groups),
-            delivered_tracks: s.delivered,
-            lost_tracks: s.lost,
-        })
-    }
-
-    fn release(&mut self, id: StreamId) -> bool {
-        let bpg = self.bpg();
-        let Some(st) = self.streams.get_mut(&id) else {
-            return false;
-        };
-        // One block is read per cycle in normal mode, `bpg` cycles per
-        // group, so the started-group count is the elapsed ceiling.
-        let elapsed = self.next_cycle.saturating_sub(st.start_cycle);
-        let started = elapsed.div_ceil(bpg);
-        if started >= st.groups {
-            // Every group is already under way: nothing to cut.
-            return false;
-        }
-        self.epoch += 1;
-        if started == 0 {
-            // Nothing read yet: retire immediately. Transition state
-            // keyed by this stream is tolerated by the delivery and
-            // deferred-free paths, which ignore unknown streams.
-            self.streams.remove(&id);
-            self.buffers.free_all(OwnerId(id.0));
-            return true;
-        }
-        // Truncate to the started group; its remaining blocks drain
-        // (including any degraded-mode reconstruction already planned)
-        // and the normal finish path retires the stream.
-        st.groups = st.groups.min(started);
-        true
-    }
-
     fn plan_cycle_into(&mut self, cycle: u64, plan: &mut CyclePlan) {
-        assert_eq!(cycle, self.next_cycle, "cycles must be planned in order");
-        self.next_cycle += 1;
-        plan.reset(cycle);
-        let layout = *self.catalog.layout();
+        self.book.begin_cycle(cycle, plan);
+        let layout = *self.book.layout();
         let geometry = *layout.geometry();
 
         // 1. Normal-schedule reads + group-at-a-time + delayed-window
         //    planning for groups starting this cycle.
         let mut ids = std::mem::take(&mut self.ids_scratch);
         ids.clear();
-        ids.extend(self.streams.keys().copied());
+        ids.extend(self.book.ids());
         for id in ids.iter().copied() {
-            let s = self.streams[&id];
-            let Some((g, i)) = self.position_at(&s, cycle) else {
+            let s = self.book[id];
+            let Some((g, i)) = s.slot_at(cycle) else {
                 continue;
             };
-            let blocks = self.blocks_in_group(s.tracks, g);
+            let blocks = s.blocks_in(g);
             let cluster = layout.data_cluster(s.start_cluster, g);
-            let t_g = self.group_start(&s, g);
+            let t_g = s.slot_cycle(g, 0);
 
             if i == 0 {
                 if self.group_at_a_time(cluster, t_g) {
@@ -840,11 +690,7 @@ impl SchemeScheduler for NonClusteredScheduler {
                 }
                 match r.addr.kind {
                     mms_layout::BlockKind::Data(ix) => {
-                        let delivery_cycle = {
-                            let st = &self.streams[&r.stream];
-                            let bpg = u64::from(layout.blocks_per_group());
-                            st.start_cycle + r.addr.group * bpg + u64::from(ix) + 1
-                        };
+                        let delivery_cycle = self.book[r.stream].slot_cycle(r.addr.group, ix) + 1;
                         displaced.push(LostBlock {
                             stream: r.stream,
                             addr: r.addr,
@@ -889,9 +735,8 @@ impl SchemeScheduler for NonClusteredScheduler {
                 .copied();
             if let Some((_, _, ix)) = target {
                 self.reconstructions.remove(&(sid, group, ix));
-                if let Some(st) = self.streams.get(&sid) {
-                    let bpg = u64::from(layout.blocks_per_group());
-                    let delivery_cycle = st.start_cycle + group * bpg + u64::from(ix) + 1;
+                if let Some(st) = self.book.get(sid) {
+                    let delivery_cycle = st.slot_cycle(group, ix) + 1;
                     displaced.push(LostBlock {
                         stream: sid,
                         addr: BlockAddr::data(st.object, group, ix),
@@ -911,7 +756,7 @@ impl SchemeScheduler for NonClusteredScheduler {
         //    `t_g + q + 1` unless recorded lost.
         let losses_now = self.pending_losses.remove(&cycle).unwrap_or_default();
         for loss in losses_now.iter().copied() {
-            if let Some(st) = self.streams.get_mut(&loss.stream) {
+            if let Some(st) = self.book.get_mut(loss.stream) {
                 st.lost += 1;
             }
             plan.hiccups.push(loss);
@@ -926,19 +771,13 @@ impl SchemeScheduler for NonClusteredScheduler {
             })
         };
         for id in ids.iter().copied() {
-            let Some(s) = self.streams.get(&id).copied() else {
+            let Some(s) = self.book.get(id).copied() else {
                 continue;
             };
-            if cycle == 0 || cycle < s.start_cycle + 1 {
+            let Some((g, q)) = cycle.checked_sub(1).and_then(|t| s.slot_at(t)) else {
                 continue;
-            }
-            let rel = cycle - s.start_cycle - 1;
-            let g = rel / self.bpg();
-            let q = (rel % self.bpg()) as u32;
-            if g >= s.groups {
-                continue;
-            }
-            let blocks = self.blocks_in_group(s.tracks, g);
+            };
+            let blocks = s.blocks_in(g);
             if q < blocks && !is_lost(id, g, q) {
                 plan.deliveries.push(Delivery {
                     stream: id,
@@ -946,17 +785,16 @@ impl SchemeScheduler for NonClusteredScheduler {
                     reconstructed: self.reconstructions.remove(&(id, g, q)),
                 });
                 let st = self
-                    .streams
-                    .get_mut(&id)
+                    .book
+                    .get_mut(id)
                     .expect("delivery loop checks the stream is still live above");
                 st.delivered += 1;
             }
             // Stream finishes after its final group's last real block's
             // delivery slot (partial groups leave trailing idle slots).
-            if g + 1 == s.groups && q + 1 >= blocks {
+            if g + 1 == s.groups() && q + 1 >= blocks {
                 plan.finished.push(id);
-                self.streams.remove(&id);
-                self.buffers.free_all(OwnerId(id.0));
+                self.book.retire(id, &mut self.buffers);
             }
         }
 
@@ -982,8 +820,8 @@ impl SchemeScheduler for NonClusteredScheduler {
     }
 
     fn on_disk_failure(&mut self, disk: DiskId, cycle: u64, _mid_cycle: bool) -> FailureReport {
-        self.epoch += 1;
-        let geometry = *self.catalog.layout().geometry();
+        self.book.bump_epoch();
+        let geometry = *self.book.layout().geometry();
         let cluster = geometry.cluster_of(disk);
         let pos = geometry.position_in_cluster(disk);
         let mut report = FailureReport {
@@ -999,7 +837,8 @@ impl SchemeScheduler for NonClusteredScheduler {
             let failed = (0..geometry.disks_per_cluster())
                 .filter(|&p| mask & (1u128 << p) != 0)
                 .map(|p| geometry.disk_at(cluster, p));
-            report.data_loss_tracks = crate::traits::data_tracks_on_disks(&self.catalog, failed);
+            report.data_loss_tracks =
+                crate::traits::data_tracks_on_disks(self.book.catalog(), failed);
             mms_telemetry::event!(
                 mms_telemetry::Level::Info,
                 "mode_transition",
@@ -1036,22 +875,21 @@ impl SchemeScheduler for NonClusteredScheduler {
         let parity_pos = geometry.disks_per_cluster() - 1;
         if pos != parity_pos && self.servers.attach(cluster.0).is_err() {
             let victims: Vec<StreamId> = self
-                .streams
+                .book
                 .iter()
                 .filter(|(_, s)| {
-                    self.position_at(s, cycle)
+                    s.slot_at(cycle)
                         .map(|(g, _)| {
-                            self.catalog.layout().data_cluster(s.start_cluster, g) == cluster
+                            self.book.layout().data_cluster(s.start_cluster, g) == cluster
                         })
                         .unwrap_or(false)
                 })
-                .map(|(&id, _)| id)
+                .map(|(id, _)| id)
                 .collect();
             for id in victims {
-                self.streams
-                    .remove(&id)
+                self.book
+                    .retire(id, &mut self.buffers)
                     .expect("victim ids were taken from the live stream map");
-                self.buffers.free_all(OwnerId(id.0));
                 report.dropped_streams.push(id);
             }
             return report;
@@ -1064,13 +902,13 @@ impl SchemeScheduler for NonClusteredScheduler {
 
         // Transition for in-flight groups on this cluster.
         let losses_before: usize = self.pending_losses.values().map(Vec::len).sum();
-        let ids: Vec<StreamId> = self.streams.keys().copied().collect();
+        let ids: Vec<StreamId> = self.book.ids().collect();
         for id in ids {
-            let s = self.streams[&id];
-            let Some((g, p)) = self.position_at(&s, cycle) else {
+            let s = self.book[id];
+            let Some((g, p)) = s.slot_at(cycle) else {
                 continue;
             };
-            if self.catalog.layout().data_cluster(s.start_cluster, g) != cluster {
+            if self.book.layout().data_cluster(s.start_cluster, g) != cluster {
                 continue;
             }
             if p == 0 {
@@ -1096,8 +934,8 @@ impl SchemeScheduler for NonClusteredScheduler {
     }
 
     fn on_disk_repair(&mut self, disk: DiskId, cycle: u64) {
-        self.epoch += 1;
-        let geometry = *self.catalog.layout().geometry();
+        self.book.bump_epoch();
+        let geometry = *self.book.layout().geometry();
         let cluster = geometry.cluster_of(disk);
         if let Some(d) = self.degraded.get_mut(&cluster) {
             let pos = geometry.position_in_cluster(disk);
@@ -1120,55 +958,22 @@ impl SchemeScheduler for NonClusteredScheduler {
         }
     }
 
-    fn buffer_in_use(&self) -> usize {
-        self.buffers.in_use()
-    }
-
-    fn buffer_high_water(&self) -> usize {
-        self.buffers.high_water()
-    }
-
     fn plan_stability(&self, cycle: u64) -> PlanStability {
-        // The plan repeats once every stream has walked every cluster:
-        // bpg cycles per group × N_C clusters.
-        let period = self.bpg() * u64::from(self.catalog.layout().geometry().clusters());
         // Stable only in fully-normal mode: no degraded cluster and no
         // transition debris in flight. `deferred_frees` is *not* a gate —
         // healthy per-cycle reads always hold one pending free.
-        if !self.degraded.is_empty()
-            || !self.pending_losses.is_empty()
-            || !self.suppressed.is_empty()
-            || !self.extra_reads.is_empty()
-            || !self.reconstructions.is_empty()
-            || !self.server_frees.is_empty()
-        {
-            return PlanStability { period, stable: 0 };
-        }
-        let mut stable = u64::MAX;
-        for s in self.streams.values() {
-            if cycle <= s.start_cycle {
-                // Warm-up: the first cycle reads without delivering.
-                return PlanStability { period, stable: 0 };
-            }
-            // End strictly before the final group's first read: partial
-            // final groups break the one-delivery-per-cycle cadence.
-            let final_group_start = s.start_cycle + (s.groups - 1) * self.bpg();
-            stable = stable.min(final_group_start.saturating_sub(cycle));
-        }
-        PlanStability { period, stable }
+        let healthy = self.degraded.is_empty()
+            && self.pending_losses.is_empty()
+            && self.suppressed.is_empty()
+            && self.extra_reads.is_empty()
+            && self.reconstructions.is_empty()
+            && self.server_frees.is_empty();
+        self.book.stability(cycle, healthy)
     }
 
     fn fast_forward(&mut self, cycles: u64) {
         debug_assert!(self.degraded.is_empty(), "fast_forward in degraded mode");
-        debug_assert_eq!(
-            cycles % (self.bpg() * u64::from(self.catalog.layout().geometry().clusters())),
-            0,
-            "fast_forward span must be a whole plan rotation"
-        );
-        self.next_cycle += cycles;
-        for s in self.streams.values_mut() {
-            s.delivered += cycles;
-        }
+        self.book.fast_forward(cycles);
         // Pending buffer frees keep their relative schedule: shift every
         // key by the skipped span. Entries are moved, not cloned; the
         // staged addresses are only ever matched by same-cycle
@@ -1182,9 +987,5 @@ impl SchemeScheduler for NonClusteredScheduler {
             self.deferred_frees.insert(k, v);
         }
         self.rekey_scratch = staged;
-    }
-
-    fn plan_epoch(&self) -> u64 {
-        self.epoch
     }
 }

@@ -293,21 +293,14 @@ pub trait SchemeScheduler {
     fn buffer_high_water(&self) -> usize;
 
     /// Report the plan-stability window starting at `cycle` (which must
-    /// be the next unplanned cycle). The default is the always-safe
-    /// answer — no stability, plan every cycle — so schemes opt in.
+    /// be the next unplanned cycle).
     ///
     /// Implementations are conservative: they return `stable > 0` only
     /// when fully healthy (no failed disks, no mode transitions
     /// pending) and every active stream is past its warm-up cycle and
     /// strictly before its final-group read, so every cycle in the
     /// window is a steady-state cycle.
-    fn plan_stability(&self, cycle: u64) -> PlanStability {
-        let _ = cycle;
-        PlanStability {
-            period: 1,
-            stable: 0,
-        }
-    }
+    fn plan_stability(&self, cycle: u64) -> PlanStability;
 
     /// Skip `cycles` quiescent cycles in closed form, advancing internal
     /// counters (per-stream delivered tracks, the next-cycle cursor, any
@@ -317,19 +310,14 @@ pub trait SchemeScheduler {
     ///
     /// The caller guarantees `cycles` is a multiple of the current
     /// [`PlanStability::period`] and does not exceed the `stable` window
-    /// reported for the current cycle. Must not allocate. The default
-    /// no-op matches the default zero-stability report.
-    fn fast_forward(&mut self, cycles: u64) {
-        let _ = cycles;
-    }
+    /// reported for the current cycle. Must not allocate.
+    fn fast_forward(&mut self, cycles: u64);
 
     /// Monotone counter bumped by every state change that invalidates a
     /// previously reported stability window (`admit`, `release`,
     /// `on_disk_failure`, `on_disk_repair`). The simulator re-validates
     /// the epoch around its probe cycles before multiplying deltas.
-    fn plan_epoch(&self) -> u64 {
-        0
-    }
+    fn plan_epoch(&self) -> u64;
 }
 
 #[cfg(test)]

@@ -364,36 +364,23 @@ impl<S: SchemeScheduler> Simulator<S> {
     /// lock-step with the returned [`Metrics`].
     pub fn step(&mut self) -> Result<CycleReport, SimError> {
         let cycle = self.cycle;
-        self.cycle += 1;
         let scheme = self.scheduler.scheme().abbrev();
         let _cycle_span = span!(Level::Debug, "cycle", cycle = cycle, scheme = scheme);
 
         // 1. Apply failure/repair events due now, drained one at a time
         //    so the steady-state loop allocates no per-cycle event list.
+        //    They take effect at this cycle, so the clock advances after.
         while let Some(event) = self.failures.next_due(cycle) {
             match event {
                 FailureEvent::Fail {
                     disk, mid_cycle, ..
                 } => {
-                    // Simulated wall time of the failure.
-                    let now =
-                        Time::from_secs(self.scheduler.config().t_cyc().as_secs() * cycle as f64);
-                    self.disks.fail(disk, now)?;
-                    // lint:allow(transitive-alloc): failure handling runs once per disk failure, not per cycle
-                    let report = self.scheduler.on_disk_failure(disk, cycle, mid_cycle);
-                    if report.catastrophic {
-                        self.metrics.catastrophes += 1;
-                    }
-                    for _ in &report.dropped_streams {
-                        self.metrics.service_degradations += 1;
-                    }
+                    self.fail_disk_now(disk, mid_cycle)?;
                 }
-                FailureEvent::Repair { disk, .. } => {
-                    self.disks.repair(disk)?;
-                    self.scheduler.on_disk_repair(disk, cycle);
-                }
+                FailureEvent::Repair { disk, .. } => self.repair_disk_now(disk)?,
             }
         }
+        self.cycle += 1;
 
         // 2. Plan and execute the cycle, refilling the reused plan.
         let t_cyc = self.scheduler.config().t_cyc();

@@ -212,28 +212,7 @@ fn write_stamped<W: Write>(out: &mut W, rec: &StampedRecord) -> io::Result<()> {
         rec.seq,
         e.level.as_str()
     )?;
-    json::write_str(out, e.target)?;
-    out.write_all(b",\"name\":")?;
-    json::write_str(out, e.name)?;
-    if e.kind != EventKind::SpanClose {
-        out.write_all(b",\"fields\":{")?;
-        for (i, (k, v)) in e.fields.iter().enumerate() {
-            if i > 0 {
-                out.write_all(b",")?;
-            }
-            json::write_str(out, k)?;
-            out.write_all(b":")?;
-            match v {
-                Value::U64(x) => write!(out, "{x}")?,
-                Value::I64(x) => write!(out, "{x}")?,
-                Value::F64(x) => json::write_f64(out, *x)?,
-                Value::Bool(x) => write!(out, "{x}")?,
-                Value::Str(s) => json::write_str(out, s)?,
-            }
-        }
-        out.write_all(b"}")?;
-    }
-    out.write_all(b"}\n")
+    crate::jsonl::write_event_tail(out, e)
 }
 
 /// An owned field value parsed back from a snapshot.

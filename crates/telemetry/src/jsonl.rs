@@ -21,20 +21,10 @@
 //! {"t":"quantile","name":"workload.wait_cycles","labels":{"scheme":"SR"},"count":40,"sum":91.5,"p50":1.5,"p95":6,"p99":9}
 //! ```
 
-use crate::event::{EventKind, EventRecord, Value};
+use crate::event::{EventKind, EventRecord};
 use crate::json;
 use crate::registry::{Histogram, LabelValue, Labels, MetricKey, Snapshot};
 use std::io::{self, Write};
-
-fn write_value<W: Write>(out: &mut W, v: &Value) -> io::Result<()> {
-    match v {
-        Value::U64(v) => write!(out, "{v}"),
-        Value::I64(v) => write!(out, "{v}"),
-        Value::F64(v) => json::write_f64(out, *v),
-        Value::Bool(v) => write!(out, "{v}"),
-        Value::Str(s) => json::write_str(out, s),
-    }
-}
 
 fn write_label_value<W: Write>(out: &mut W, v: &LabelValue) -> io::Result<()> {
     match v {
@@ -73,20 +63,19 @@ pub fn write_event<W: Write>(out: &mut W, event: &EventRecord) -> io::Result<()>
         event.kind.as_str(),
         event.level.as_str()
     )?;
+    write_event_tail(out, event)
+}
+
+/// Write the rest of an event line after its `"target":` key: target,
+/// name, fields (span closes carry none), the closing brace and newline.
+/// Shared with the flight recorder's stamped lines.
+pub(crate) fn write_event_tail<W: Write>(out: &mut W, event: &EventRecord) -> io::Result<()> {
     json::write_str(out, event.target)?;
     out.write_all(b",\"name\":")?;
     json::write_str(out, event.name)?;
     if event.kind != EventKind::SpanClose {
-        out.write_all(b",\"fields\":{")?;
-        for (i, (k, v)) in event.fields.iter().enumerate() {
-            if i > 0 {
-                out.write_all(b",")?;
-            }
-            json::write_str(out, k)?;
-            out.write_all(b":")?;
-            write_value(out, v)?;
-        }
-        out.write_all(b"}")?;
+        out.write_all(b",\"fields\":")?;
+        json::write_fields(out, &event.fields)?;
     }
     out.write_all(b"}\n")
 }

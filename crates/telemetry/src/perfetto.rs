@@ -20,22 +20,8 @@ use std::io::{self, Write};
 const TICKS_PER_CYCLE: u64 = 1_000_000;
 
 fn write_args<W: Write>(out: &mut W, fields: &[(&'static str, Value)]) -> io::Result<()> {
-    out.write_all(b",\"args\":{")?;
-    for (i, (k, v)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.write_all(b",")?;
-        }
-        json::write_str(out, k)?;
-        out.write_all(b":")?;
-        match v {
-            Value::U64(x) => write!(out, "{x}")?,
-            Value::I64(x) => write!(out, "{x}")?,
-            Value::F64(x) => json::write_f64(out, *x)?,
-            Value::Bool(x) => write!(out, "{x}")?,
-            Value::Str(s) => json::write_str(out, s)?,
-        }
-    }
-    out.write_all(b"}")
+    out.write_all(b",\"args\":")?;
+    json::write_fields(out, fields)
 }
 
 /// Write `events` as a Chrome `trace_event` JSON document.

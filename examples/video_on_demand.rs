@@ -81,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 server.inject(FailureEvent::fail(server.cycle(), DiskId(1)))?;
             }
             if cycle == repair_cycle {
-                server.repair_disk(DiskId(1))?;
+                server.inject(FailureEvent::repair(server.cycle(), DiskId(1)))?;
             }
             server.step()?;
         }

@@ -1,5 +1,6 @@
 //! End-to-end tests of the `mms-ctl` command-line driver.
 
+use std::path::Path;
 use std::process::Command;
 
 fn ctl(args: &[&str]) -> (String, String, bool) {
@@ -85,4 +86,39 @@ fn bad_arguments_fail_gracefully() {
     let (_, stderr, ok) = ctl(&["simulate", "--fail", "nope"]);
     assert!(!ok);
     assert!(stderr.contains("DISK@CYCLE"), "{stderr}");
+}
+
+/// Compare `got` with the committed transcript `tests/golden/<name>.txt`
+/// byte for byte, naming the first differing line.
+fn assert_golden(name: &str, got: &str) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(format!("{name}.txt"));
+    let want = std::fs::read_to_string(&path).expect("golden transcript");
+    if got != want {
+        let line = got
+            .lines()
+            .zip(want.lines())
+            .position(|(g, w)| g != w)
+            .map_or_else(|| "length".to_string(), |i| format!("line {}", i + 1));
+        panic!("{name} differs from {} at {line}:\n{got}", path.display());
+    }
+}
+
+#[test]
+fn scenario_corpus_matches_its_transcript_in_every_mode() {
+    for extra in [&[][..], &["--fast-forward"], &["--threads", "1"]] {
+        let mut args = vec!["scenario", "all", "--quick"];
+        args.extend_from_slice(extra);
+        let (stdout, stderr, ok) = ctl(&args);
+        assert!(ok, "{args:?}: {stderr}");
+        assert_golden("scenario_all_quick", &stdout);
+    }
+}
+
+#[test]
+fn fleet_corpus_matches_its_transcript() {
+    let (stdout, stderr, ok) = ctl(&["fleet", "corpus", "--quick"]);
+    assert!(ok, "{stderr}");
+    assert_golden("fleet_corpus_quick", &stdout);
 }

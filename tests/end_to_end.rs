@@ -68,7 +68,8 @@ fn failure_and_repair_cycle_leaves_no_residue() {
         s.run(5).unwrap();
         fail_now(&mut s, 2).unwrap();
         s.run(20).unwrap();
-        s.repair_disk(DiskId(2)).unwrap();
+        s.inject(FailureEvent::repair(s.cycle(), DiskId(2)))
+            .unwrap();
         while s.active_streams() > 0 {
             s.step().unwrap();
         }

@@ -176,7 +176,8 @@ fn inject_covers_immediate_scheduled_and_repair_faults() {
         s.inject(FailureEvent::fail(s.cycle(), DiskId(2))),
         Err(ServerError::DataLoss { .. })
     ));
-    s.repair_disk(DiskId(1)).unwrap();
+    s.inject(FailureEvent::repair(s.cycle(), DiskId(1)))
+        .unwrap();
     let mut s2 = ServerBuilder::new(Scheme::StreamingRaid)
         .disks(10)
         .parity_group(5)

@@ -4,8 +4,10 @@
 
 use ft_media_server::layout::{BandwidthClass, CatalogError, MediaObject, ObjectId};
 use ft_media_server::sched::RetireError;
-use ft_media_server::sim::DataMode;
+use ft_media_server::sim::{AdmissionPolicy, ArrivalProcess, DataMode, SessionEngine, StepMode};
 use ft_media_server::{Scheme, ServerBuilder, ServerError};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn movie(id: u64, tracks: u64) -> MediaObject {
     MediaObject::new(
@@ -42,6 +44,58 @@ fn staged_object_becomes_playable_and_verifies() {
     let m = s.metrics();
     assert_eq!(m.delivered, 16);
     assert_eq!(m.delivered, m.verified);
+}
+
+#[test]
+fn run_advances_staging_like_step() {
+    // The multi-cycle drivers must stage from tape exactly as `step`
+    // does, in both step modes.
+    for mode in [StepMode::CycleByCycle, StepMode::EventHorizon] {
+        let mut s = ServerBuilder::new(Scheme::StreamingRaid)
+            .disks(10)
+            .parity_group(5)
+            .object(movie(0, 8))
+            .build()
+            .unwrap();
+        s.set_step_mode(mode);
+        s.set_tape_rate(4);
+        s.request_from_tertiary(movie(1, 16)).unwrap();
+        // 16 tracks at 4/cycle: resident after 4 cycles.
+        s.run(3).unwrap();
+        assert!(!s.is_resident(ObjectId(1)), "{mode:?}");
+        s.run(1).unwrap();
+        assert!(s.is_resident(ObjectId(1)), "{mode:?}");
+        assert_eq!(s.cycle(), 4);
+    }
+}
+
+#[test]
+fn run_sessions_advances_staging_like_step() {
+    for mode in [StepMode::CycleByCycle, StepMode::EventHorizon] {
+        let mut s = ServerBuilder::new(Scheme::StreamingRaid)
+            .disks(10)
+            .parity_group(5)
+            .object(movie(0, 40))
+            .build()
+            .unwrap();
+        s.set_step_mode(mode);
+        s.set_tape_rate(4);
+        s.request_from_tertiary(movie(1, 16)).unwrap();
+        let mut engine = SessionEngine::new(
+            vec![(ObjectId(0), 20)],
+            0.0,
+            ArrivalProcess::poisson(0.5),
+            AdmissionPolicy::Reject,
+        );
+        let mut rng = StdRng::seed_from_u64(11);
+        s.run_sessions(4, &mut engine, &mut rng).unwrap();
+        assert!(s.is_resident(ObjectId(1)), "{mode:?}");
+        assert_eq!(s.cycle(), 4);
+        // Once the tape queue is empty the run continues as before.
+        s.run_sessions(40, &mut engine, &mut rng).unwrap();
+        assert_eq!(s.cycle(), 44);
+        assert!(engine.stats().admitted > 0, "{mode:?}");
+    }
 }
 
 #[test]
